@@ -455,8 +455,8 @@ def analyze(
 ) -> InvariantReport:
     """Run the full pipeline on one form and assemble the report.
 
-    A failed isolatedness heuristic yields a partial report (Milnor data and
-    the input-independent checks only) with a prominent warning; everything
+    Input not found isolated yields a partial report (Milnor data and the
+    input-independent checks only) with a prominent warning; everything
     downstream of the thresholds needs stabilized dimensions.
     """
     names = tuple(var_names) if var_names else tuple(f"x{i}" for i in range(f.nvars))

@@ -5,8 +5,9 @@ dump the report as JSON and/or CSV; `corpus` re-runs the built-in examples
 against their golden values.
 
 Exit codes: 0 all checks pass; 1 usage or input parse error; 2 an identity
-or golden comparison failed; 3 the isolatedness heuristic rejected the
-input (a partial report is still produced).
+or golden comparison failed; 3 the Milnor dimensions never settled, so the
+input is not known to have isolated singularities (a partial report is
+still produced).
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_corpus(args) -> int:
     try:
         field = field_from_name(args.field)
+        summary = run_corpus(args.filter, field=field, k_max=args.kmax)
     except ValueError as exc:
         print(f"jacsyz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    summary = run_corpus(args.filter, field=field, k_max=args.kmax)
     if not summary.results:
         print(f"jacsyz: error: no corpus entry matches {args.filter!r}", file=sys.stderr)
         return EXIT_USAGE

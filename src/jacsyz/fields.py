@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 __all__ = [
+    "CoefficientNotInFieldError",
     "QQ",
     "RationalField",
     "PrimeField",
@@ -29,6 +30,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # within a machine word on the way into Python's small-int range.
 FAST_PRIME_LO = 2**30
 FAST_PRIME_HI = 2**31
+
+
+class CoefficientNotInFieldError(ValueError):
+    """An input coefficient has no image in the working field: its
+    denominator is divisible by the characteristic."""
 
 
 def is_prime(n: int) -> bool:
@@ -124,7 +130,7 @@ class PrimeField:
         frac = Fraction(value)
         den = frac.denominator % self.p
         if den == 0:
-            raise ZeroDivisionError(
+            raise CoefficientNotInFieldError(
                 f"coefficient denominator {frac.denominator} vanishes mod {self.p}"
             )
         return frac.numerator * pow(den, self.p - 2, self.p) % self.p

@@ -289,6 +289,8 @@ class Subspace:
             raise AmbientMismatchError(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
             )
+        if self.dim == self.ambient_dim:
+            return [self.field.zero] * self.ambient_dim
         if self.field.characteristic == 0:
             for row, p in zip(self.basis, self.pivots):
                 c = v[p]

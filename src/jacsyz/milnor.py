@@ -46,13 +46,19 @@ class SmoothInputError(ValueError):
     """The requested invariant is undefined for a smooth hypersurface."""
 
 
+# isolated_method tags: a proof of the constant tail, or the fallback test
+GOTZMANN = "gotzmann-persistence"
+HEURISTIC = "heuristic-window"
+
+
 def top_degree(nvars: int, d: int) -> int:
     """Largest degree where the smooth reference algebra is nonzero."""
     return nvars * (d - 2)
 
 
 def default_k_max(nvars: int, d: int) -> int:
-    # stabilisation must happen by top_degree+1; add a detection window on top
+    """Default reporting range: top_degree+1, by which isolated singularities
+    have stabilised, plus a margin that also holds the fallback test's window."""
     return max(top_degree(nvars, d), 0) + 2 * (nvars - 1) + 4
 
 
@@ -97,9 +103,18 @@ def jacobian_generators(f: HomogPoly) -> tuple[HomogPoly, ...]:
 
 
 def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
-    """dim M(f)_k = dim S_k − dim (J_f)_k."""
+    """dim M(f)_k = dim S_k − dim (J_f)_k, read from the Milnor profile:
+    every degree it covers, and every higher degree once the profile is
+    certified.  Only other degrees, or forms the profile rejects, cost a
+    slice rank."""
     if k < 0:
         return 0
+    if not f.is_zero and f.degree >= 2:
+        profile = _milnor_profile(f, None, field)
+        if k <= profile.computed_max:
+            return profile.dims[k]
+        if profile.isolated_method == GOTZMANN:
+            return profile.dims[-1]
     return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k, field)
 
 
@@ -107,8 +122,11 @@ def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
 class MilnorProfile:
     """Degree-wise dimensions of M(f) next to the smooth reference, with the
     stabilisation verdict.  dims/smooth_dims run 0..computed_max, which is at
-    least k_max (the reporting range) and always covers the detection window
-    past top_degree."""
+    least k_max (the reporting range) and always covers the window past
+    top_degree.  isolated_method is GOTZMANN when the scan stopped at a
+    proven plateau (_persistence_certified) and the dims above it repeat
+    it; HEURISTIC when every dim was computed and the verdict rests on the
+    window test alone."""
 
     nvars: int
     n: int
@@ -123,11 +141,27 @@ class MilnorProfile:
     smooth_input: bool
     stabilized: bool
     isolated: bool
-    isolated_method: str = "heuristic-window"
+    isolated_method: str = HEURISTIC
 
     @property
     def computed_max(self) -> int:
         return len(self.dims) - 1
+
+
+def _persistence_certified(dims: list[int], d: int) -> bool:
+    """Whether dims[0..k] already fix every higher dim of M(f) at dims[k].
+
+    Either dims[k] = 0, so J_k = S_k and so J_j = S_j for all j ≥ k; or
+    dims[k−1] = dims[k] = τ with k−1 ≥ max(d−1, τ).  In the second case J is
+    generated in degrees ≤ k−1, and τ ≤ k−1 makes the Macaulay bound
+    τ^⟨k−1⟩ equal to τ, so dims[k] meets that bound and Gotzmann's
+    persistence theorem (Math. Z. 158, 1978; Bruns–Herzog §4.3) keeps every
+    later dim at τ."""
+    k = len(dims) - 1
+    tau = dims[k]
+    if tau == 0:
+        return True
+    return k >= 1 and dims[k - 1] == tau and k - 1 >= max(d - 1, tau)
 
 
 @lru_cache(maxsize=None)
@@ -147,19 +181,28 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     k_top = max(k_report, T + n + 2)
 
     gens = jacobian_generators(f)
-    dims = tuple(
-        space_dim(nvars, k) - slice_dim(gens, k, field) for k in range(k_top + 1)
-    )
+    scan: list[int] = []
+    certified = False
+    for k in range(k_top + 1):
+        scan.append(space_dim(nvars, k) - slice_dim(gens, k, field))
+        if _persistence_certified(scan, d):
+            certified = True
+            scan += [scan[k]] * (k_top - k)
+            break
+    dims = tuple(scan)
     smooth = tuple(smooth_series_coeff(n, d, k) for k in range(k_top + 1))
 
     tail = dims[-1]
     s = len(dims) - 1
     while s > 0 and dims[s - 1] == tail:
         s -= 1
-    stabilized = len(dims) - s >= window
-    # isolated singularities force stabilisation by T+1; a later (or absent)
-    # plateau means the singular locus is positive-dimensional
-    isolated = stabilized and s <= T + 1
+    if certified:
+        stabilized = isolated = True
+    else:
+        stabilized = len(dims) - s >= window
+        # isolated singularities force stabilisation by T+1; a later (or
+        # absent) plateau means the singular locus is positive-dimensional
+        isolated = stabilized and s <= T + 1
     smooth_input = dims == smooth
     tau = tail if isolated else None
     st = s if isolated else None
@@ -181,6 +224,7 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
         smooth_input=smooth_input,
         stabilized=stabilized,
         isolated=isolated,
+        isolated_method=GOTZMANN if certified else HEURISTIC,
     )
 
 
@@ -218,8 +262,8 @@ def coincidence_threshold(f: HomogPoly, field=QQ) -> int:
 
 
 def isolated_check(f: HomogPoly, field=QQ) -> tuple[bool, str]:
-    """Heuristic isolatedness verdict plus its method tag.  True means the
-    dimensions sat constant on the whole window past top_degree; constancy
-    there is necessary but not by itself a proof of isolatedness."""
+    """Isolatedness verdict plus its method tag: a proof under GOTZMANN;
+    under HEURISTIC, True only means the dims sat constant on the window
+    past top_degree, which is necessary for isolatedness but not a proof."""
     profile = _milnor_profile(f, None, field)
     return profile.isolated, profile.isolated_method

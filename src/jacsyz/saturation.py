@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import QQ
+# slice_dim is unused here but stays importable: perfbench/spans.py wraps it
+# by module attribute
 from .graded import basis_index, ideal_slice, monomial_basis, slice_dim, space_dim
 from .linalg import ExactMatrix, Subspace, kernel
-from .milnor import MilnorProfile, jacobian_generators, milnor_profile, top_degree
+from .milnor import MilnorProfile, jacobian_generators, milnor_dim, milnor_profile, top_degree
 from .poly import HomogPoly
 
 __all__ = [
@@ -48,7 +50,8 @@ class PreconditionViolatedError(RuntimeError):
 
 class IdentityViolationError(RuntimeError):
     """The definitional and closed-form routes disagree — an engine bug, or
-    a non-isolated input that slipped past the heuristic."""
+    a non-isolated input that slipped past the window test of an
+    uncertified Milnor profile."""
 
 
 def _checked_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
@@ -77,11 +80,11 @@ def _saturation_slice(f: HomogPoly, k: int, field) -> Subspace:
     if k >= bound:
         return ideal_slice(gens, k, field)
     N = bound - k
-    big = ideal_slice(gens, k + N, field)
-    constraints = big.membership_constraints()
     ambient = space_dim(nvars, k)
-    if not constraints:
+    if milnor_dim(f, k + N, field) == 0:
+        # J_{k+N} = S_{k+N}: every shift lands inside, no slice needed
         return Subspace.full(ambient, field)
+    constraints = ideal_slice(gens, k + N, field).membership_constraints()
     low = monomial_basis(nvars, k)
     high_index = basis_index(nvars, k + N)
     out: Subspace | None = None
@@ -133,17 +136,15 @@ def _saturation_profile(f: HomogPoly, k_max: int | None, field) -> SaturationPro
     nvars = f.nvars
     T = profile.top_degree
     tau = profile.tau
-    gens = jacobian_generators(f)
     bound = _agreement_bound(profile)
     k_top = max(profile.k_max, bound, T)
 
-    hatJ: list[int] = []
-    for k in range(k_top + 1):
-        if k >= bound:
-            hatJ.append(slice_dim(gens, k, field))
-        else:
-            hatJ.append(_saturation_slice(f, k, field).dim)
-    sd = [hatJ[k] - slice_dim(gens, k, field) for k in range(k_top + 1)]
+    j_dims = [space_dim(nvars, k) - milnor_dim(f, k, field) for k in range(k_top + 1)]
+    hatJ = [
+        j_dims[k] if k >= bound else _saturation_slice(f, k, field).dim
+        for k in range(k_top + 1)
+    ]
+    sd = [hatJ[k] - j_dims[k] for k in range(k_top + 1)]
     defects = [tau - (space_dim(nvars, k) - hatJ[k]) for k in range(k_top + 1)]
 
     sat = 0
@@ -213,7 +214,7 @@ def defect(f: HomogPoly, k: int, field=QQ) -> int:
         return p.tau
     if k <= p.k_max:
         return p.defects[k]
-    return p.tau - (space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k, field))
+    return p.tau - milnor_dim(f, k, field)
 
 
 def a_invariant(f: HomogPoly, field=QQ) -> int | None:

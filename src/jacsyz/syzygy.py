@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import QQ
+# slice_dim is unused here but stays importable: perfbench/spans.py wraps it
+# by module attribute
 from .graded import basis_index, monomial_basis, multiplication_matrix, slice_dim, space_dim
 from .linalg import ExactMatrix, Subspace, kernel, rank
 from .milnor import jacobian_generators, milnor_dim, smooth_series_coeff, top_degree
@@ -36,8 +38,9 @@ def ar_dim(f: HomogPoly, m: int, field=QQ) -> int:
     """Dimension of the space of degree-m relations among the partials."""
     if m < 0:
         return 0
-    gens = jacobian_generators(f)
-    return f.nvars * space_dim(f.nvars, m) - slice_dim(gens, m + f.degree - 1, field)
+    k = m + f.degree - 1
+    ideal_dim = space_dim(f.nvars, k) - milnor_dim(f, k, field)
+    return f.nvars * space_dim(f.nvars, m) - ideal_dim
 
 
 def relation_kernel(f: HomogPoly, m: int, field=QQ) -> Subspace:

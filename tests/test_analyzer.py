@@ -155,7 +155,7 @@ class TestJson:
         assert len(m["smooth_dims"]) == 10
         assert m["dims"][:7] == [1, 3, 6, 7, 6, 6, 6]
         assert m["isolated"] is True
-        assert m["isolated_method"] == "heuristic-window"
+        assert m["isolated_method"] == "gotzmann-persistence"
 
     def test_check_rows_shape(self, three_cusp):
         doc = analyze(three_cusp).to_json_dict()

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jacsyz
 import jacsyz.analyzer as analyzer_module
 from jacsyz.cli import (
     EXIT_CHECK_FAILED,
@@ -45,6 +50,21 @@ class TestExitCodes:
     def test_bad_field_is_usage(self):
         assert run("analyze", "--poly", THREE_CUSP, "--field", "mod:10") == EXIT_USAGE
         assert run("analyze", "--poly", THREE_CUSP, "--field", "float") == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the denominator 3 has no inverse mod 3
+            ("analyze", "--poly", "1/3*x^2+y^2+z^2", "--field", "mod:3"),
+            ("corpus", "--kmax", "-1"),
+        ],
+    )
+    def test_bad_input_is_one_line_usage_error(self, argv, capsys):
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("jacsyz: error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_non_isolated_exit(self, capsys):
         assert run("analyze", "--poly", "x^2*y^2") == EXIT_NON_ISOLATED
@@ -173,6 +193,29 @@ class TestOutputs:
             run("analyze", "--poly", "x*y*z", "--field", "mod:random") == EXIT_OK
         )
         assert "mod:" in capsys.readouterr().out
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("poly", [THREE_CUSP, "x^4 + y^4 + z^4"])
+    def test_json_bytes_identical_across_processes(self, poly):
+        # separate interpreters, so the second run is no cache hit, and
+        # different hash seeds, so any set or dict order leaking into the
+        # report shows up
+        src = str(Path(jacsyz.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-m", "jacsyz.cli", "analyze", "--poly", poly, "--json", "-"],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["input"]["poly"] == poly
 
 
 class TestCorpusOutput:

@@ -1,15 +1,22 @@
 """Hilbert function of the Jacobian quotient: stabilization, the two
 thresholds, and the smooth reference series."""
 
+import random
+
 import pytest
 
-from jacsyz.graded import space_dim
+import jacsyz.milnor as milnor_module
+from helpers import random_dense_homogeneous
+from jacsyz.cli import EXIT_NON_ISOLATED, EXIT_OK, main
+from jacsyz.corpus import CORPUS
+from jacsyz.graded import slice_dim, space_dim
 from jacsyz.milnor import (
     NotStabilizedError,
     SmoothInputError,
     coincidence_threshold,
     default_k_max,
     isolated_check,
+    jacobian_generators,
     milnor_dim,
     milnor_profile,
     quotient_series_coeff,
@@ -91,7 +98,7 @@ class TestProfile:
         assert p.ct == 4
         assert not p.smooth_input
         assert p.isolated
-        assert p.isolated_method == "heuristic-window"
+        assert p.isolated_method == "gotzmann-persistence"
 
     def test_fermat_quartic_is_smooth(self, fermat_quartic):
         p = milnor_profile(fermat_quartic)
@@ -175,7 +182,7 @@ class TestOps:
 
     def test_isolated_check_tags(self, three_cusp, non_isolated):
         ok, method = isolated_check(three_cusp)
-        assert ok and method == "heuristic-window"
+        assert ok and method == "gotzmann-persistence"
         bad, method2 = isolated_check(non_isolated)
         assert not bad and method2 == "heuristic-window"
 
@@ -183,3 +190,65 @@ class TestOps:
         assert top_degree(3, 4) == 6
         assert top_degree(3, 3) == 3
         assert top_degree(4, 3) == 4
+
+
+def _direct_milnor_dim(f, k):
+    return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k)
+
+
+class TestCertificate:
+    """The scan stops at a Gotzmann-certified plateau and fills the rest of
+    the range from it; inputs without a certificate keep the window test."""
+
+    @pytest.mark.parametrize(
+        "name", [e.name for e in CORPUS] + [f"dense-{seed}" for seed in range(10)]
+    )
+    def test_filled_tail_matches_direct_rank(self, name, corpus_polys):
+        if name.startswith("dense-"):
+            # seeded dense ternary forms of degree 3, 4, 5 in turn
+            seed = int(name[len("dense-"):])
+            f = random_dense_homogeneous(random.Random(seed), 3, 3 + seed % 3)
+        else:
+            f = corpus_polys[name]
+        p = milnor_profile(f)
+        assert p.isolated_method == "gotzmann-persistence"
+        assert p.computed_max == max(
+            default_k_max(f.nvars, f.degree), p.top_degree + p.n + 2
+        )
+        for k in range(p.computed_max + 1):
+            assert p.dims[k] == _direct_milnor_dim(f, k), (name, k)
+
+    def test_no_slice_past_the_certificate(self, monkeypatch, three_cusp):
+        requested = []
+        real = milnor_module.slice_dim
+
+        def counting(gens, degree, field):
+            requested.append(degree)
+            return real(gens, degree, field)
+
+        monkeypatch.setattr(milnor_module, "slice_dim", counting)
+        milnor_module._milnor_profile.cache_clear()
+        p = milnor_profile(three_cusp)
+        assert p.isolated_method == "gotzmann-persistence"
+        assert max(requested) == max(p.d - 1, p.tau) + 1 == 7
+        assert p.computed_max == 14
+        # past the range a certified profile answers without any slice
+        requested.clear()
+        assert milnor_dim(three_cusp, 40) == 6
+        assert requested == []
+
+    @pytest.mark.parametrize(
+        "poly,tau,st,exit_code",
+        [
+            # tau = 25 lies beyond the scanned range (k_top = 20)
+            ("x^6-y^6", 25, 8, EXIT_OK),
+            # singular along two lines: no plateau at all
+            ("x^2*y^2", None, None, EXIT_NON_ISOLATED),
+        ],
+    )
+    def test_uncertified_inputs_keep_the_window_test(self, poly, tau, st, exit_code, capsys):
+        p = milnor_profile(parse_poly(poly, XYZ))
+        assert p.isolated_method == "heuristic-window"
+        assert (p.tau, p.st, p.isolated) == (tau, st, tau is not None)
+        assert main(["analyze", "--poly", poly]) == exit_code
+        capsys.readouterr()

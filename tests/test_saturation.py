@@ -159,7 +159,8 @@ class TestOps:
         assert defect(three_cusp, 0) == 5
         assert defect(three_cusp, 1) == 3
         assert defect(three_cusp, 2) == 0
-        # beyond the cached range the defect is recomputed and stays 0
+        # beyond the reporting range the defect is read from the certified
+        # Milnor plateau and stays 0
         assert defect(three_cusp, 40) == 0
 
     def test_a_invariant_and_regularity_ops(self, corpus_polys):
