@@ -22,8 +22,6 @@ from .corpus import CORPUS, CorpusEntry
 from .fields import QQ, PrimeField, RationalField, field_from_name
 from .graded import (
     DegreeTooLowError,
-    HilbertFunction,
-    hilbert_function_of_quotient,
     ideal_slice,
     monomial_basis,
     multiplication_matrix,
@@ -63,12 +61,10 @@ from .saturation import (
     a_invariant,
     cm_regularity,
     defect,
-    gorenstein_symmetry_check,
     saturation_profile,
     saturation_slice,
     sat_threshold,
     sd_dims,
-    unimodality_check,
 )
 from .syzygy import (
     SyzygyProfile,
@@ -77,7 +73,6 @@ from .syzygy import (
     koszul_cohomology_dim,
     kr_dim,
     minimal_relation_degree,
-    relation_kernel,
     syzygy_profile,
 )
 

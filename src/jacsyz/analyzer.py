@@ -303,6 +303,8 @@ def _full_checks(
     outside = 0
     for k in range(T + 1):
         hat = saturation_slice(f, k, field)
+        if hat.dim == hat.ambient_dim:
+            continue  # Ĵ_k = S_k holds J_k by definition
         for vec in ideal_slice(gens, k, field).basis:
             if not hat.contains(vec):
                 outside += 1
@@ -471,6 +473,16 @@ def analyze(
             f"running over {field.name}: ranks can drop in special characteristic, "
             "so dimensions are only certified by the exact field mode"
         )
+        lost = [
+            f"df/d{name}"
+            for name, g in zip(names, jacobian_generators(f))
+            if not g.is_zero and not any(field.convert(c) for c in g.terms.values())
+        ]
+        if lost:
+            warnings.append(
+                f"partial derivatives vanishing over {field.name}, since the characteristic "
+                f"{field.characteristic} divides every coefficient: {', '.join(lost)}"
+            )
 
     if not mp.isolated:
         warnings.append(

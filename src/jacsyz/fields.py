@@ -83,24 +83,8 @@ class RationalField:
         return Fraction(value)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / Fraction(a)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -135,23 +119,8 @@ class PrimeField:
             )
         return frac.numerator * pow(den, self.p - 2, self.p) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return pow(a, self.p - 2, self.p)
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

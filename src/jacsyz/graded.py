@@ -1,21 +1,27 @@
-"""Graded slices of polynomial rings and ideals.
+"""Graded slices of polynomial rings and ideals, and the owner of all
+per-form cached state.
 
 Everything here is degree-truncated linear algebra: a degree-k slice of an
 ideal is the column span of a multiplication matrix in the monomial basis of
-S_k.  Slice ranks and slice subspaces are memoised on (generators, degree,
-field) since the higher-level invariants revisit the same slices constantly.
+S_k.  Each slice is eliminated once, forward only, with the generator
+multiples as rows: its dimension is the pivot count, and its canonical
+subspace is finished from the same rows on first request.  Slices live in
+the per-form table of their generator tuple and field (form_table), next to
+everything the higher layers derive from that ideal; only the last
+FORMS_KEPT tables are kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 from typing import Sequence
 
 from .fields import QQ
-from .linalg import ExactMatrix, Subspace, rank
-from .poly import Exps, HomogPoly
+# rank is unused here but stays importable: perfbench/spans.py wraps it by
+# module attribute
+from .linalg import Echelon, ExactMatrix, Subspace, rank
+from .poly import Exps, HomogPoly, partial_derivatives
 
 __all__ = [
     "DegreeTooLowError",
@@ -25,9 +31,15 @@ __all__ = [
     "multiplication_matrix",
     "slice_dim",
     "ideal_slice",
-    "HilbertFunction",
-    "hilbert_function_of_quotient",
+    "FORMS_KEPT",
+    "form_table",
+    "per_form",
 ]
+
+# A batch only revisits the form in hand (an analysis asks for the same
+# slices and profiles many times, the next form shares none of them), so a
+# few tables suffice; older ones are dropped whole, which bounds memory.
+FORMS_KEPT = 2
 
 
 class DegreeTooLowError(ValueError):
@@ -100,22 +112,31 @@ def multiplication_matrix(gens: Sequence[HomogPoly], degree: int, field=QQ) -> E
     return ExactMatrix(nrows, ncols, data)
 
 
-@lru_cache(maxsize=None)
-def _slice_rank(gens: tuple[HomogPoly, ...], degree: int, field) -> int:
-    if not gens:
-        return 0
-    return rank(multiplication_matrix(gens, degree, field), field)
+@lru_cache(maxsize=FORMS_KEPT)
+def form_table(gens: tuple[HomogPoly, ...], field) -> dict:
+    """The cache of everything derived from the ideal of `gens` over
+    `field`: its slices, keyed by degree, and the per_form results of the
+    higher layers, keyed by (function name, argument)."""
+    return {}
 
 
-@lru_cache(maxsize=None)
-def _slice_space(nvars: int, gens: tuple[HomogPoly, ...], degree: int, field) -> Subspace:
-    ambient = space_dim(nvars, degree)
-    if not gens:
-        return Subspace.zero(ambient, field)
-    m = multiplication_matrix(gens, degree, field)
-    return Subspace.from_vectors(
-        (m.column(j) for j in range(m.ncols)), ambient, field
-    )
+def per_form(fn):
+    """Decorator: fn(f, arg, field) is computed once per table of f's
+    partials over field, and kept as long as that table is.  The partials
+    key f's table: over Q they determine f (d·f = Σ x_i·∂f/∂x_i), and they
+    are the generators its slices are built from."""
+
+    @wraps(fn)
+    def memo(f: HomogPoly, arg, field):
+        if f.degree < 1:  # no partials to key on; fn rejects such forms
+            return fn(f, arg, field)
+        table = form_table(partial_derivatives(f), field)
+        key = (fn.__name__, arg)
+        if key not in table:
+            table[key] = fn(f, arg, field)
+        return table[key]
+
+    return memo
 
 
 def _usable(gens: Sequence[HomogPoly], degree: int) -> tuple[HomogPoly, ...]:
@@ -123,11 +144,23 @@ def _usable(gens: Sequence[HomogPoly], degree: int) -> tuple[HomogPoly, ...]:
     return tuple(g for g in gens if not g.is_zero and g.degree <= degree)
 
 
+def _slice(gens: tuple[HomogPoly, ...], degree: int, field) -> Echelon:
+    table = form_table(gens, field)
+    if degree not in table:
+        usable = _usable(gens, degree)
+        if usable:
+            m = multiplication_matrix(usable, degree, field).transpose()
+        else:
+            m = ExactMatrix(0, space_dim(gens[0].nvars, degree), [])
+        table[degree] = Echelon(m, field)
+    return table[degree]
+
+
 def slice_dim(gens: Sequence[HomogPoly], degree: int, field=QQ) -> int:
     """dim of the degree-`degree` piece of the ideal the generators span."""
-    if degree < 0:
+    if degree < 0 or not gens:
         return 0
-    return _slice_rank(_usable(gens, degree), degree, field)
+    return _slice(tuple(gens), degree, field).rank
 
 
 def ideal_slice(gens: Sequence[HomogPoly], degree: int, field=QQ) -> Subspace:
@@ -136,62 +169,6 @@ def ideal_slice(gens: Sequence[HomogPoly], degree: int, field=QQ) -> Subspace:
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    nvars = gens[0].nvars
     if degree < 0:
         return Subspace.zero(0, field)
-    return _slice_space(nvars, _usable(gens, degree), degree, field)
-
-
-@dataclass(frozen=True)
-class HilbertFunction:
-    """Degree-wise dimensions 0..k_max with the detected constant tail.
-
-    stable_value/stable_from are present only when the final `window` values
-    used at construction all agree; a graded module whose dimensions still
-    move at the top of the range gets None for both.
-    """
-
-    dims: tuple[int, ...]
-    stable_value: int | None
-    stable_from: int | None
-
-    @classmethod
-    def from_dims(cls, dims: Sequence[int], window: int) -> "HilbertFunction":
-        dims = tuple(dims)
-        if not dims:
-            raise ValueError("need at least one dimension")
-        if window < 1:
-            raise ValueError("window must be positive")
-        tail = dims[-1]
-        s = len(dims) - 1
-        while s > 0 and dims[s - 1] == tail:
-            s -= 1
-        if len(dims) - s >= window:
-            return cls(dims, tail, s)
-        return cls(dims, None, None)
-
-    @property
-    def k_max(self) -> int:
-        return len(self.dims) - 1
-
-    def __getitem__(self, k: int) -> int:
-        if k < 0:
-            return 0
-        return self.dims[k]
-
-
-def hilbert_function_of_quotient(
-    gens: Sequence[HomogPoly], k_max: int, field=QQ, window: int | None = None
-) -> HilbertFunction:
-    """Hilbert function of S/(gens) for degrees 0..k_max.  The stabilisation
-    window defaults to nvars+1 consecutive equal values."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    nvars = gens[0].nvars
-    if window is None:
-        window = nvars + 1
-    dims = [space_dim(nvars, k) - slice_dim(gens, k, field) for k in range(k_max + 1)]
-    return HilbertFunction.from_dims(dims, window)
+    return _slice(gens, degree, field).row_space()

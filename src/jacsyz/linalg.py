@@ -4,7 +4,9 @@ The rational path clears denominators once per row and then eliminates in
 pure integer arithmetic, stripping the gcd content of every updated row so
 entries stay small; pivots are chosen by minimal absolute value.  Fractions
 only reappear when the reduced rows are normalised at the very end.  The
-prime-field path is a plain Gauss-Jordan with Fermat inverses.
+prime-field path is a plain Gauss-Jordan with Fermat inverses.  Both are
+split into a forward pass, which is all a rank needs, and a back-substitution
+that finishes the canonical basis from the same rows (Echelon).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "ExactMatrix",
     "Subspace",
+    "Echelon",
     "AmbientMismatchError",
     "rref",
     "rank",
@@ -98,8 +101,9 @@ def _row_to_int(row: Sequence) -> list[int]:
     return _strip_content([x.numerator * (den // x.denominator) for x in row])
 
 
-def _echelon_int(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
-    """In-place elimination on integer rows; returns the pivot columns.
+def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place forward elimination on integer rows; returns the pivot
+    columns.  Rows past the last pivot end up zero.
 
     Invariant: every row at or below the current front is zero in all
     columns already processed, so updates only touch the tail.
@@ -136,22 +140,12 @@ def _echelon_int(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
             )
         pivots.append(c)
         r += 1
-    if reduced:
-        for idx in range(len(pivots) - 1, -1, -1):
-            c = pivots[idx]
-            piv_row = rows[idx]
-            piv = piv_row[c]
-            for i in range(idx):
-                v = rows[i][c]
-                if not v:
-                    continue
-                rows[i] = _strip_content(
-                    [piv * a - v * b for a, b in zip(rows[i], piv_row)]
-                )
     return pivots
 
 
-def _echelon_mod(rows: list[list[int]], ncols: int, p: int, reduced: bool) -> list[int]:
+def _forward_mod(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """In-place forward elimination mod p with unit pivots; returns the
+    pivot columns."""
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -180,64 +174,87 @@ def _echelon_mod(rows: list[list[int]], ncols: int, p: int, reduced: bool) -> li
             rows[i] = [0] * c + [(a - v * b) % p for a, b in zip(tail, piv_tail)]
         pivots.append(c)
         r += 1
-    if reduced:
-        for idx in range(len(pivots) - 1, -1, -1):
-            c = pivots[idx]
-            piv_row = rows[idx]
-            for i in range(idx):
-                v = rows[i][c]
-                if not v:
-                    continue
-                rows[i] = [(a - v * b) % p for a, b in zip(rows[i], piv_row)]
     return pivots
+
+
+def _back(rows: list[list[int]], pivots: Sequence[int], p: int) -> list[list]:
+    """Back-substitution on the pivot rows of a forward pass.  Mod p the
+    pivots are already units; over Q (p = 0) the integer rows are normalised
+    to fractions at the end."""
+    for idx in range(len(pivots) - 1, -1, -1):
+        c = pivots[idx]
+        piv_row = rows[idx]
+        piv = piv_row[c]
+        for i in range(idx):
+            v = rows[i][c]
+            if not v:
+                continue
+            if p:
+                rows[i] = [(a - v * b) % p for a, b in zip(rows[i], piv_row)]
+            else:
+                rows[i] = _strip_content(
+                    [piv * a - v * b for a, b in zip(rows[i], piv_row)]
+                )
+    if p:
+        return rows
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
+
+
+class Echelon:
+    """A matrix after forward elimination only.  Its rank is the pivot
+    count; row_space() finishes back-substitution and normalisation from the
+    same rows on first request and keeps only the canonical basis after
+    that, so rank queries never pay for the second pass."""
+
+    def __init__(self, m: ExactMatrix, field):
+        self.ncols = m.ncols
+        self.field = field
+        if field.characteristic == 0:
+            rows = [_row_to_int(row) for row in m.rows]
+            pivots = _forward_int(rows, m.ncols)
+        else:
+            rows = [[field.convert(v) for v in row] for row in m.rows]
+            pivots = _forward_mod(rows, m.ncols, field.characteristic)
+        del rows[len(pivots):]  # all zero after forward elimination
+        self.pivots = tuple(pivots)
+        self._rows: list[list] | None = rows
+        self._space: Subspace | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def row_space(self) -> "Subspace":
+        if self._space is None:
+            basis = _back(self._rows, self.pivots, self.field.characteristic)
+            self._space = Subspace(
+                self.ncols, self.field, tuple(tuple(row) for row in basis), self.pivots
+            )
+            self._rows = None
+        return self._space
 
 
 def rref(m: ExactMatrix, field) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form (shape preserved, zero rows at the bottom)
     together with the pivot columns."""
-    if field.characteristic == 0:
-        rows = [_row_to_int(row) for row in m.rows]
-        pivots = _echelon_int(rows, m.ncols, reduced=True)
-        out: list[list[Fraction]] = []
-        for idx in range(len(pivots)):
-            piv = rows[idx][pivots[idx]]
-            out.append([Fraction(v, piv) for v in rows[idx]])
-        zero_row = [Fraction(0)] * m.ncols
-        out.extend(list(zero_row) for _ in range(m.nrows - len(pivots)))
-        return ExactMatrix(m.nrows, m.ncols, out), tuple(pivots)
-    p = field.characteristic
-    rows = [[field.convert(v) for v in row] for row in m.rows]
-    pivots = _echelon_mod(rows, m.ncols, p, reduced=True)
-    return ExactMatrix(m.nrows, m.ncols, rows), tuple(pivots)
+    space = Echelon(m, field).row_space()
+    rows = [list(row) for row in space.basis]
+    rows.extend([field.zero] * m.ncols for _ in range(m.nrows - space.dim))
+    return ExactMatrix(m.nrows, m.ncols, rows), space.pivots
 
 
 def rank(m: ExactMatrix, field) -> int:
     """Rank via forward elimination only (no normalisation pass)."""
-    if field.characteristic == 0:
-        rows = [_row_to_int(row) for row in m.rows]
-        return len(_echelon_int(rows, m.ncols, reduced=False))
-    p = field.characteristic
-    rows = [[field.convert(v) for v in row] for row in m.rows]
-    return len(_echelon_mod(rows, m.ncols, p, reduced=False))
+    return Echelon(m, field).rank
 
 
 def kernel(m: ExactMatrix, field) -> "Subspace":
-    """Right kernel {v : M v = 0} as a canonical subspace of F^ncols."""
+    """Right kernel {v : M v = 0} as a canonical subspace of F^ncols: the
+    membership constraints of the row space of M span it."""
     reduced, pivots = rref(m, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    if not free:
-        return Subspace.zero(m.ncols, field)
-    vectors = []
-    for c in free:
-        v = [field.zero] * m.ncols
-        v[c] = field.one
-        for i, p in enumerate(pivots):
-            entry = reduced.rows[i][c]
-            if entry:
-                v[p] = field.neg(entry)
-        vectors.append(v)
-    return Subspace.from_vectors(vectors, m.ncols, field)
+    basis = tuple(tuple(row) for row in reduced.rows[: len(pivots)])
+    row_space = Subspace(m.ncols, field, basis, pivots)
+    return Subspace.from_vectors(row_space.membership_constraints(), m.ncols, field)
 
 
 @dataclass(frozen=True)
@@ -272,11 +289,7 @@ class Subspace:
                 raise AmbientMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        if not materialized:
-            return cls.zero(ambient_dim, field)
-        reduced, pivots = rref(ExactMatrix.from_rows(materialized, ncols=ambient_dim), field)
-        basis = tuple(tuple(reduced.rows[i]) for i in range(len(pivots)))
-        return cls(ambient_dim, field, basis, pivots)
+        return Echelon(ExactMatrix.from_rows(materialized, ncols=ambient_dim), field).row_space()
 
     @property
     def dim(self) -> int:

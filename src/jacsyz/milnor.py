@@ -11,12 +11,11 @@ everything else in this package hangs off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from .fields import QQ
-from .graded import slice_dim, space_dim
+from .graded import per_form, slice_dim, space_dim
 from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
@@ -96,7 +95,6 @@ def quotient_series_coeff(gen_degrees: Sequence[int], nvars: int, k: int) -> int
     )
 
 
-@lru_cache(maxsize=None)
 def jacobian_generators(f: HomogPoly) -> tuple[HomogPoly, ...]:
     """The n+1 first partials of f, zero partials included in place."""
     return partial_derivatives(f)
@@ -164,7 +162,7 @@ def _persistence_certified(dims: list[int], d: int) -> bool:
     return k >= 1 and dims[k - 1] == tau and k - 1 >= max(d - 1, tau)
 
 
-@lru_cache(maxsize=None)
+@per_form
 def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     if f.is_zero:
         raise ValueError("cannot analyze the zero polynomial")

@@ -5,9 +5,10 @@ Castelnuovo–Mumford regularity.
 The saturated slice Ĵ_k is computed as ∩_i {g ∈ S_k : x_i^N·g ∈ J_{k+N}}
 with N chosen so that k+N reaches the degree where J and Ĵ provably agree
 (max(T−ct, st); for smooth input st alone, where the ideal is everything).
-Each intersectand is the kernel of a shift map composed with the membership
-constraints of the target slice, so the whole computation stays in the same
-exact linear algebra as everything else.
+The membership constraints of the target slice, composed with each of the
+n+1 shift maps, are stacked into one matrix whose kernel is that
+intersection, so the whole computation stays in the same exact linear
+algebra as everything else.
 
 The a-invariant and the regularity each have a definitional route (through
 defects and SD dimensions, with the degree −1 defect equal to τ) and a
@@ -18,12 +19,11 @@ functions raise if they ever disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .fields import QQ
 # slice_dim is unused here but stays importable: perfbench/spans.py wraps it
 # by module attribute
-from .graded import basis_index, ideal_slice, monomial_basis, slice_dim, space_dim
+from .graded import basis_index, ideal_slice, monomial_basis, per_form, slice_dim, space_dim
 from .linalg import ExactMatrix, Subspace, kernel
 from .milnor import MilnorProfile, jacobian_generators, milnor_dim, milnor_profile, top_degree
 from .poly import HomogPoly
@@ -39,8 +39,6 @@ __all__ = [
     "defect",
     "a_invariant",
     "cm_regularity",
-    "gorenstein_symmetry_check",
-    "unimodality_check",
 ]
 
 
@@ -71,7 +69,7 @@ def _agreement_bound(profile: MilnorProfile) -> int:
     return max(profile.top_degree - profile.ct, profile.st)
 
 
-@lru_cache(maxsize=None)
+@per_form
 def _saturation_slice(f: HomogPoly, k: int, field) -> Subspace:
     profile = _checked_profile(f, None, field)
     nvars = f.nvars
@@ -87,17 +85,13 @@ def _saturation_slice(f: HomogPoly, k: int, field) -> Subspace:
     constraints = ideal_slice(gens, k + N, field).membership_constraints()
     low = monomial_basis(nvars, k)
     high_index = basis_index(nvars, k + N)
-    out: Subspace | None = None
+    rows = []
     for i in range(nvars):
         shift = [
             high_index[mu[:i] + (mu[i] + N,) + mu[i + 1 :]] for mu in low
         ]
-        rows = [[crow[s] for s in shift] for crow in constraints]
-        part = kernel(ExactMatrix.from_rows(rows, ncols=ambient), field)
-        out = part if out is None else out.intersect(part)
-        if out.dim == 0:
-            break
-    return out
+        rows += ([crow[s] for s in shift] for crow in constraints)
+    return kernel(ExactMatrix.from_rows(rows, ncols=ambient), field)
 
 
 def saturation_slice(f: HomogPoly, k: int, field=QQ) -> Subspace:
@@ -130,7 +124,7 @@ class SaturationProfile:
         return self.a_invariant_closed is None
 
 
-@lru_cache(maxsize=None)
+@per_form
 def _saturation_profile(f: HomogPoly, k_max: int | None, field) -> SaturationProfile:
     profile = _checked_profile(f, k_max, field)
     nvars = f.nvars
@@ -163,11 +157,7 @@ def _saturation_profile(f: HomogPoly, k_max: int | None, field) -> SaturationPro
     if a_def is None and tau > 0:
         a_def = -1
 
-    sd_top: int | None = None
-    for k in range(k_top, -1, -1):
-        if sd[k] != 0:
-            sd_top = k
-            break
+    sd_top = sat - 1 if sat else None
     reg_candidates = [v for v in (sd_top, None if a_def is None else a_def + 1) if v is not None]
     reg_def = max(reg_candidates)
 
@@ -240,19 +230,3 @@ def cm_regularity(f: HomogPoly, field=QQ) -> int:
             f"closed form {p.regularity_closed}"
         )
     return p.regularity
-
-
-def gorenstein_symmetry_check(f: HomogPoly, field=QQ) -> bool:
-    """Whether dim SD_k = dim SD_{T−k} for all 0 ≤ k ≤ T."""
-    p = _saturation_profile(f, None, field)
-    T = p.top_degree
-    return all(p.sd_dims[k] == p.sd_dims[T - k] for k in range(T + 1))
-
-
-def unimodality_check(f: HomogPoly, field=QQ) -> bool:
-    """Whether the SD dimensions are non-decreasing up to the middle degree.
-    Together with the symmetry check this is evidence for unimodality of the
-    whole sequence; it is reported, never enforced."""
-    p = _saturation_profile(f, None, field)
-    T = p.top_degree
-    return all(p.sd_dims[k] <= p.sd_dims[k + 1] for k in range((T + 1) // 2))

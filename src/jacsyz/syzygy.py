@@ -11,19 +11,17 @@ one of the package's central self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .fields import QQ
 # slice_dim is unused here but stays importable: perfbench/spans.py wraps it
 # by module attribute
-from .graded import basis_index, monomial_basis, multiplication_matrix, slice_dim, space_dim
-from .linalg import ExactMatrix, Subspace, kernel, rank
+from .graded import basis_index, monomial_basis, per_form, slice_dim, space_dim
+from .linalg import ExactMatrix, rank
 from .milnor import jacobian_generators, milnor_dim, smooth_series_coeff, top_degree
 from .poly import HomogPoly
 
 __all__ = [
     "ar_dim",
-    "relation_kernel",
     "kr_dim",
     "koszul_relation_vectors",
     "er_dim",
@@ -43,19 +41,11 @@ def ar_dim(f: HomogPoly, m: int, field=QQ) -> int:
     return f.nvars * space_dim(f.nvars, m) - ideal_dim
 
 
-def relation_kernel(f: HomogPoly, m: int, field=QQ) -> Subspace:
-    """The relation space itself, in block coordinates: coefficient vector of
-    a_0 in the degree-m monomial basis, then a_1, and so on."""
-    if m < 0:
-        raise ValueError("relation degree must be nonnegative")
-    gens = jacobian_generators(f)
-    return kernel(multiplication_matrix(gens, m + f.degree - 1, field), field)
-
-
 def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     """Spanning set of the degree-m Koszul relations b·(f_j e_i − f_i e_j),
-    b running over monomials of degree m − (d−1), in the same block
-    coordinates as relation_kernel."""
+    b running over monomials of degree m − (d−1), in block coordinates:
+    coefficient vector of a_0 in the degree-m monomial basis, then a_1, and
+    so on."""
     d = f.degree
     nvars = f.nvars
     if m < d - 1:
@@ -81,19 +71,14 @@ def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     return vectors
 
 
-@lru_cache(maxsize=None)
-def _kr_dim(f: HomogPoly, m: int, field) -> int:
-    vectors = koszul_relation_vectors(f, m, field)
-    if not vectors:
-        return 0
-    return rank(ExactMatrix.from_rows(vectors), field)
-
-
 def kr_dim(f: HomogPoly, m: int, field=QQ) -> int:
     """Dimension of the degree-m Koszul (trivial) relations."""
     if m < 0:
         return 0
-    return _kr_dim(f, m, field)
+    vectors = koszul_relation_vectors(f, m, field)
+    if not vectors:
+        return 0
+    return rank(ExactMatrix.from_rows(vectors), field)
 
 
 def er_dim(f: HomogPoly, m: int, field=QQ) -> int:
@@ -117,10 +102,7 @@ def koszul_cohomology_dim(f: HomogPoly, j: int, field=QQ) -> int:
 def minimal_relation_degree(f: HomogPoly, field=QQ) -> int | None:
     """Least m with an essential relation; None when no degree up to
     top_degree has one (for isolated singularities that means f is smooth)."""
-    for m in range(max(top_degree(f.nvars, f.degree), 0) + 1):
-        if er_dim(f, m, field) > 0:
-            return m
-    return None
+    return syzygy_profile(f, None, field).mdr
 
 
 @dataclass(frozen=True)
@@ -135,7 +117,7 @@ class SyzygyProfile:
     mdr: int | None
 
 
-@lru_cache(maxsize=None)
+@per_form
 def _syzygy_profile(f: HomogPoly, m_max: int | None, field) -> SyzygyProfile:
     if f.degree < 2:
         raise ValueError("hypersurface degree must be at least 2")
@@ -148,12 +130,18 @@ def _syzygy_profile(f: HomogPoly, m_max: int | None, field) -> SyzygyProfile:
     ar = tuple(ar_dim(f, m, field) for m in range(m_max + 1))
     kr = tuple(kr_dim(f, m, field) for m in range(m_max + 1))
     er = tuple(a - k for a, k in zip(ar, kr))
+    mdr = None
+    # mdr looks up to top_degree, which can lie past m_max
+    for m in range(max(top_degree(f.nvars, f.degree), 0) + 1):
+        if (er[m] if m <= m_max else er_dim(f, m, field)) > 0:
+            mdr = m
+            break
     return SyzygyProfile(
         m_max=m_max,
         ar_dims=ar,
         kr_dims=kr,
         er_dims=er,
-        mdr=minimal_relation_degree(f, field),
+        mdr=mdr,
     )
 
 

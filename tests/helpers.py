@@ -1,8 +1,8 @@
 """Test-only utilities.
 
-`naive_rref` is a deliberately boring textbook Gauss-Jordan over `Fraction`,
-kept independent of the package's elimination code so the two can be checked
-against each other.
+`naive_rref` is a deliberately boring textbook Gauss-Jordan over `Fraction`
+(or over GF(p) on int residues when a prime is given), kept independent of
+the package's elimination code so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ from jacsyz.poly import HomogPoly
 
 
 def naive_rref(
-    rows: list[list[Fraction]], ncols: int
+    rows: list[list[Fraction]], ncols: int, p: int | None = None
 ) -> tuple[list[list[Fraction]], list[int]]:
-    m = [[Fraction(v) for v in row] for row in rows]
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in rows]
+    else:
+        m = [[int(v) % p for v in row] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -26,11 +29,16 @@ def naive_rref(
             continue
         m[r], m[hit] = m[hit], m[r]
         lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
+        if p is None:
+            m[r] = [v / lead for v in m[r]]
+        else:
+            m[r] = [v * pow(lead, -1, p) % p for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 factor = m[i][c]
                 m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                if p is not None:
+                    m[i] = [v % p for v in m[i]]
         pivots.append(c)
         r += 1
         if r == len(m):

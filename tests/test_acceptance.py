@@ -19,11 +19,7 @@ from jacsyz.milnor import (
     top_degree,
 )
 from jacsyz.poly import euler_check, parse_poly
-from jacsyz.saturation import (
-    gorenstein_symmetry_check,
-    saturation_profile,
-    unimodality_check,
-)
+from jacsyz.saturation import saturation_profile
 from jacsyz.syzygy import (
     er_dim,
     koszul_cohomology_dim,
@@ -139,10 +135,12 @@ def test_criterion_5_saturation_defect_module_structure():
     if sd[:7] != (0, 1, 3, 4, 3, 1, 0):
         bad.append(f"SD dims {sd[:7]}")
     for entry in CORPUS:
-        g = parse_poly(entry.poly, entry.var_names)
-        if not gorenstein_symmetry_check(g):
+        report = analyze(parse_poly(entry.poly, entry.var_names))
+        symmetry = next(r for r in report.checks if r.name == "gorenstein_symmetry")
+        if symmetry.passed is not True:
             bad.append(f"{entry.name}: symmetry broken")
-        if not unimodality_check(g):
+        unimodality = next(r for r in report.conjectures if r.name == "sd_unimodality")
+        if unimodality.holds is not True:
             bad.append(f"{entry.name}: unimodality evidence broken")
     _finish(5, "SD table of x*(x^3+y^3+z^3), symmetry and unimodality corpus-wide", bad)
 

@@ -66,6 +66,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "poly,lost",
+        [
+            # corpus entry binomial-1-2-3: d/dz of z^3 is 3*z^2
+            ("x*y^2 + z^3", "df/dz"),
+            ("x^3+y^3+z^3", "df/dx, df/dy, df/dz"),
+        ],
+    )
+    def test_vanishing_partial_is_named(self, poly, lost, capsys):
+        assert run("analyze", "--poly", poly, "--field", "mod:3") == EXIT_NON_ISOLATED
+        warnings = [l for l in capsys.readouterr().out.splitlines() if "vanishing" in l]
+        assert warnings == [
+            "warning: partial derivatives vanishing over mod:3, since the "
+            f"characteristic 3 divides every coefficient: {lost}"
+        ]
+
     def test_non_isolated_exit(self, capsys):
         assert run("analyze", "--poly", "x^2*y^2") == EXIT_NON_ISOLATED
         assert "isolated" in capsys.readouterr().out

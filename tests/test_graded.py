@@ -1,16 +1,20 @@
-"""Graded slices of polynomial ideals: bases, multiplication matrices,
-and Hilbert functions of Jacobian quotients."""
+"""Graded slices of polynomial ideals: bases, multiplication matrices and
+slice dimensions."""
 
+import random
+from collections import Counter
 from math import comb
 
 import pytest
 
+import jacsyz.graded as graded_module
+from helpers import random_dense_homogeneous
+from jacsyz.analyzer import analyze
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import (
+    FORMS_KEPT,
     DegreeTooLowError,
-    HilbertFunction,
     basis_index,
-    hilbert_function_of_quotient,
     ideal_slice,
     monomial_basis,
     multiplication_matrix,
@@ -139,37 +143,25 @@ class TestIdealSlice:
             assert slice_dim(gens, k, PrimeField(1000003)) == exact
 
 
-class TestHilbertFunction:
-    def test_from_dims_detects_stable_tail(self):
-        h = HilbertFunction.from_dims((1, 3, 6, 7, 6, 6, 6, 6), window=4)
-        assert h.stable_value == 6
-        assert h.stable_from == 4
+class TestFormTables:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["exact", "mod"])
+    def test_each_slice_is_built_once(self, field, three_cusp, monkeypatch):
+        # rank, subspace and membership queries of one degree share one
+        # elimination
+        built = Counter()
+        real = graded_module.multiplication_matrix
 
-    def test_from_dims_no_stable_tail(self):
-        h = HilbertFunction.from_dims((1, 3, 6, 10, 12, 14), window=4)
-        assert h.stable_value is None
+        def counting(gens, degree, field=QQ):
+            built[degree] += 1
+            return real(gens, degree, field)
 
-    def test_getitem_negative_degree(self):
-        h = HilbertFunction.from_dims((1, 3, 3, 3, 3, 3), window=4)
-        assert h[-1] == 0
-        assert h[0] == 1
+        monkeypatch.setattr(graded_module, "multiplication_matrix", counting)
+        graded_module.form_table.cache_clear()
+        analyze(three_cusp, field=field)
+        assert built and max(built.values()) == 1, built
 
-    def test_quotient_three_cusp(self, three_cusp):
-        gens = partial_derivatives(three_cusp)
-        h = hilbert_function_of_quotient(gens, 9)
-        assert h.dims[:7] == (1, 3, 6, 7, 6, 6, 6)
-        assert h.stable_value == 6
-
-    def test_quotient_coordinate_triangle(self, coordinate_triangle):
-        gens = partial_derivatives(coordinate_triangle)
-        h = hilbert_function_of_quotient(gens, 8)
-        assert h.dims[:4] == (1, 3, 3, 3)
-        assert h.stable_value == 3
-        assert h.stable_from == 1
-
-    def test_quotient_fermat_reaches_zero(self, fermat_quartic):
-        gens = partial_derivatives(fermat_quartic)
-        h = hilbert_function_of_quotient(gens, 11)
-        assert h.dims[:8] == (1, 3, 6, 7, 6, 3, 1, 0)
-        assert h.stable_value == 0
-        assert h.stable_from == 7
+    def test_tables_are_bounded(self):
+        rng = random.Random(3)
+        for _ in range(FORMS_KEPT + 2):
+            analyze(random_dense_homogeneous(rng, 3, 3))
+        assert graded_module.form_table.cache_info().currsize <= FORMS_KEPT

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import jacsyz.graded as graded_module
 import jacsyz.milnor as milnor_module
 from helpers import random_dense_homogeneous
 from jacsyz.cli import EXIT_NON_ISOLATED, EXIT_OK, main
@@ -105,6 +106,7 @@ class TestProfile:
         assert p.smooth_input
         assert p.tau == 0
         assert p.st == 7  # first degree where the quotient vanishes
+        assert p.dims[:8] == (1, 3, 6, 7, 6, 3, 1, 0)
         assert p.dims == p.smooth_dims
         assert p.isolated
 
@@ -227,7 +229,7 @@ class TestCertificate:
             return real(gens, degree, field)
 
         monkeypatch.setattr(milnor_module, "slice_dim", counting)
-        milnor_module._milnor_profile.cache_clear()
+        graded_module.form_table.cache_clear()
         p = milnor_profile(three_cusp)
         assert p.isolated_method == "gotzmann-persistence"
         assert max(requested) == max(p.d - 1, p.tau) + 1 == 7

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import monomial_basis
-from jacsyz.linalg import ExactMatrix, kernel, rank, rref
+from jacsyz.linalg import Echelon, ExactMatrix, kernel, rank, rref
 from jacsyz.milnor import milnor_dim
 from jacsyz.poly import HomogPoly, euler_check, parse_poly, permute_variables
 
@@ -32,9 +32,9 @@ def homog_polys(draw, max_nvars: int = 3, max_degree: int = 4):
 
 
 @st.composite
-def int_matrices(draw, max_dim: int = 5, bound: int = 9):
-    nrows = draw(st.integers(1, max_dim))
-    ncols = draw(st.integers(1, max_dim))
+def int_matrices(draw, max_dim: int = 5, bound: int = 9, min_dim: int = 1):
+    nrows = draw(st.integers(min_dim, max_dim))
+    ncols = draw(st.integers(min_dim, max_dim))
     rows = draw(
         st.lists(
             st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols),
@@ -116,3 +116,17 @@ class TestElimination:
         exact = rank(m, QQ)
         for p in (10007, 1000003):
             assert rank(m, PrimeField(p)) <= exact
+
+    @given(int_matrices(min_dim=0), st.sampled_from([None, 3, 1000003]))
+    @settings(max_examples=80, deadline=None)
+    def test_echelon_matches_textbook_oracle(self, m, p):
+        # one forward pass serves the rank; the reduced basis is finished
+        # from the same rows; zero-row and zero-column shapes included
+        field = QQ if p is None else PrimeField(p)
+        echelon = Echelon(m, field)
+        theirs, their_pivots = naive_rref([list(r) for r in m.rows], m.ncols, p)
+        assert echelon.rank == len(their_pivots)
+        space = echelon.row_space()
+        assert list(space.pivots) == their_pivots
+        assert [list(r) for r in space.basis] == theirs[: len(their_pivots)]
+        assert echelon.rank == space.dim

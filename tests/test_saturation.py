@@ -2,25 +2,26 @@
 invariants with their closed forms."""
 
 import dataclasses
+import functools
 
 import pytest
 
 import jacsyz.saturation as saturation_module
+from jacsyz.analyzer import analyze
 from jacsyz.fields import QQ, PrimeField
-from jacsyz.graded import ideal_slice, space_dim
-from jacsyz.milnor import jacobian_generators
+from jacsyz.graded import basis_index, ideal_slice, monomial_basis, space_dim
+from jacsyz.linalg import ExactMatrix, Subspace, kernel
+from jacsyz.milnor import jacobian_generators, milnor_profile
 from jacsyz.saturation import (
     IdentityViolationError,
     PreconditionViolatedError,
     a_invariant,
     cm_regularity,
     defect,
-    gorenstein_symmetry_check,
     sat_threshold,
     saturation_profile,
     saturation_slice,
     sd_dims,
-    unimodality_check,
 )
 
 SCALARS = {
@@ -125,6 +126,26 @@ class TestSlices:
                 ideal_slice(gens, k).basis
             )
 
+    def test_stacked_kernel_matches_intersection(self, corpus_polys):
+        # reference route: one kernel per variable x_i, intersected pairwise
+        for name, f in corpus_polys.items():
+            bound = saturation_module._agreement_bound(milnor_profile(f))
+            constraints = ideal_slice(jacobian_generators(f), bound).membership_constraints()
+            high = basis_index(f.nvars, bound)
+            for k in range(bound):
+                N = bound - k
+                parts = []
+                for i in range(f.nvars):
+                    shift = [
+                        high[mu[:i] + (mu[i] + N,) + mu[i + 1 :]]
+                        for mu in monomial_basis(f.nvars, k)
+                    ]
+                    rows = [[c[s] for s in shift] for c in constraints]
+                    m = ExactMatrix.from_rows(rows, ncols=space_dim(f.nvars, k))
+                    parts.append(kernel(m, QQ))
+                expected = functools.reduce(Subspace.intersect, parts)
+                assert saturation_slice(f, k) == expected, (name, k)
+
     def test_smooth_saturation_is_everything(self, fermat_quartic):
         for k in range(6):
             assert saturation_slice(fermat_quartic, k).dim == space_dim(3, k)
@@ -204,12 +225,16 @@ class TestStructure:
                 assert p.defects[k] >= p.defects[k + 1], (name, k)
 
     def test_gorenstein_symmetry(self, corpus_polys):
+        # the analyzer's row counts k in 0..T with dim SD_k != dim SD_{T-k}
         for name, f in corpus_polys.items():
-            assert gorenstein_symmetry_check(f), name
+            row = next(r for r in analyze(f).checks if r.name == "gorenstein_symmetry")
+            assert (row.lhs, row.passed) == (0, True), name
 
     def test_unimodality(self, corpus_polys):
+        # the analyzer's row counts k below the middle with dim SD_k > dim SD_{k+1}
         for name, f in corpus_polys.items():
-            assert unimodality_check(f), name
+            row = next(r for r in analyze(f).conjectures if r.name == "sd_unimodality")
+            assert (row.lhs, row.holds) == (0, True), name
 
     def test_sd_total_is_finite_support(self, corpus_polys):
         # SD is concentrated in degrees < sat; everything past k_max's
