@@ -4,10 +4,10 @@ Two subcommands: `analyze` runs the full pipeline on one polynomial and can
 dump the report as JSON and/or CSV; `corpus` re-runs the built-in examples
 against their golden values.
 
-Exit codes: 0 all checks pass; 1 usage or input parse error; 2 an identity
-or golden comparison failed; 3 the Milnor dimensions never settled, so the
-input is not known to have isolated singularities (a partial report is
-still produced).
+Exit codes: 0 all checks pass; 1 usage or input parse error, or an output
+file that cannot be written; 2 an identity or golden comparison failed; 3
+the Milnor dimensions never settled, so the input is not known to have
+isolated singularities (a partial report is still produced).
 """
 
 from __future__ import annotations
@@ -186,10 +186,14 @@ def _cmd_analyze(args) -> int:
         print(f"jacsyz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.json:
-        _write_json(report, args.json)
-    if args.csv:
-        _write_csv(report, args.csv)
+    for path, write in ((args.json, _write_json), (args.csv, _write_csv)):
+        if not path:
+            continue
+        try:
+            write(report, path)
+        except OSError as exc:
+            print(f"jacsyz: error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.json != "-" and args.csv != "-":
         for line in _summary_lines(report):
             print(line)

@@ -71,16 +71,24 @@ def random_prime(rng: random.Random | None = None) -> int:
 
 
 class RationalField:
-    """Arbitrary-precision rational arithmetic on Fraction values."""
+    """The rationals, held as Python ints wherever a value is integral.
+
+    The engine builds every matrix over Q from integer coefficients, so its
+    linear algebra never sees a Fraction: convert maps an integral value to
+    int and leaves any other rational a Fraction, and only the public
+    entry points of linalg clear such denominators."""
 
     characteristic = 0
     name = "exact"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def convert(value) -> Fraction:
-        return Fraction(value)
+    def convert(value) -> int | Fraction:
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     @staticmethod
     def neg(a):

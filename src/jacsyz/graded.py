@@ -5,10 +5,12 @@ Everything here is degree-truncated linear algebra: a degree-k slice of an
 ideal is the column span of a multiplication matrix in the monomial basis of
 S_k.  Each slice is eliminated once, forward only, with the generator
 multiples as rows: its dimension is the pivot count, and its canonical
-subspace is finished from the same rows on first request.  Slices live in
-the per-form table of their generator tuple and field (form_table), next to
-everything the higher layers derive from that ideal; only the last
-FORMS_KEPT tables are kept.
+subspace is finished from the same rows on first request.  Over Q each
+generator enters as its primitive integer multiple, which spans the same
+ideal, so every matrix entry is an int.  Slices live in the per-form table
+of their generator tuple and field (form_table), next to everything the
+higher layers derive from that ideal; only the last FORMS_KEPT tables are
+kept.
 """
 
 from __future__ import annotations
@@ -149,6 +151,10 @@ def _slice(gens: tuple[HomogPoly, ...], degree: int, field) -> Echelon:
     if degree not in table:
         usable = _usable(gens, degree)
         if usable:
+            if field.characteristic == 0:
+                # rescaling a generator keeps the ideal; primitive integer
+                # generators make every entry an int
+                usable = tuple(g.primitive() for g in usable)
             m = multiplication_matrix(usable, degree, field).transpose()
         else:
             m = ExactMatrix(0, space_dim(gens[0].nvars, degree), [])

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals and prime fields.
 
-The rational path clears denominators once per row and then eliminates in
-pure integer arithmetic, stripping the gcd content of every updated row so
-entries stay small; pivots are chosen by minimal absolute value.  Fractions
-only reappear when the reduced rows are normalised at the very end.  The
+The rational path is integer-native.  Engine matrices over Q are built with
+int entries; a Fraction can only come in through the public entry points
+(rank, rref, kernel, Subspace.from_vectors, Subspace.reduce), which clear
+the denominators of such a row once.  Elimination then runs in pure integer
+arithmetic, stripping the gcd content of every updated row so entries stay
+small, with pivots chosen by minimal absolute value.  A canonical basis row
+over Q is the primitive integer multiple of its reduced-echelon row, with a
+positive pivot: that form is unique, so equal subspaces still compare equal,
+and only rref turns it into the normalised Fraction rows it documents.  The
 prime-field path is a plain Gauss-Jordan with Fermat inverses.  Both are
 split into a forward pass, which is all a rank needs, and a back-substitution
 that finishes the canonical basis from the same rows (Echelon).
@@ -71,11 +76,9 @@ class ExactMatrix:
         return m
 
     def transpose(self) -> "ExactMatrix":
-        cols = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return ExactMatrix(self.ncols, self.nrows, cols)
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
+        if not self.rows:
+            return ExactMatrix(self.ncols, 0, [[] for _ in range(self.ncols)])
+        return ExactMatrix(self.ncols, self.nrows, [list(col) for col in zip(*self.rows)])
 
 
 # --- integer elimination core ------------------------------------------------
@@ -93,17 +96,20 @@ def _strip_content(row: list[int]) -> list[int]:
     return row
 
 
-def _row_to_int(row: Sequence) -> list[int]:
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // math.gcd(den, d)
+def _row_to_int(row: Sequence) -> Sequence[int]:
+    """An integer row on the same line as `row`: an all-int row as it is,
+    any other row (int and Fraction entries) cleared of denominators."""
+    if set(map(type, row)) <= {int}:
+        return row
+    row = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
     return _strip_content([x.numerator * (den // x.denominator) for x in row])
 
 
-def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
+def _forward_int(rows: list[Sequence[int]], ncols: int) -> list[int]:
     """In-place forward elimination on integer rows; returns the pivot
-    columns.  Rows past the last pivot end up zero.
+    columns.  Rows past the last pivot end up zero.  Only the outer list is
+    modified: an updated row is a new list.
 
     Invariant: every row at or below the current front is zero in all
     columns already processed, so updates only touch the tail.
@@ -143,9 +149,9 @@ def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _forward_mod(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+def _forward_mod(rows: list[Sequence[int]], ncols: int, p: int) -> list[int]:
     """In-place forward elimination mod p with unit pivots; returns the
-    pivot columns."""
+    pivot columns.  Only the outer list is modified, as in _forward_int."""
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -177,10 +183,10 @@ def _forward_mod(rows: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
-def _back(rows: list[list[int]], pivots: Sequence[int], p: int) -> list[list]:
+def _back(rows: list[Sequence[int]], pivots: Sequence[int], p: int) -> list[Sequence[int]]:
     """Back-substitution on the pivot rows of a forward pass.  Mod p the
-    pivots are already units; over Q (p = 0) the integer rows are normalised
-    to fractions at the end."""
+    pivots are already units.  Over Q (p = 0) every row, also one that no
+    update touched, ends primitive with a positive pivot."""
     for idx in range(len(pivots) - 1, -1, -1):
         c = pivots[idx]
         piv_row = rows[idx]
@@ -197,27 +203,34 @@ def _back(rows: list[list[int]], pivots: Sequence[int], p: int) -> list[list]:
                 )
     if p:
         return rows
-    return [[Fraction(v, row[c]) for v in row] for row, c in zip(rows, pivots)]
+    out = []
+    for row, c in zip(rows, pivots):
+        row = _strip_content(row)
+        out.append([-v for v in row] if row[c] < 0 else row)
+    return out
 
 
 class Echelon:
     """A matrix after forward elimination only.  Its rank is the pivot
-    count; row_space() finishes back-substitution and normalisation from the
-    same rows on first request and keeps only the canonical basis after
-    that, so rank queries never pay for the second pass."""
+    count; row_space() finishes back-substitution from the same rows on
+    first request and keeps only the canonical basis after that, so rank
+    queries never pay for the second pass.
+
+    The entries must already be in working form: ints over Q, residues in
+    [0, p) mod p.  Engine matrices are built that way; the public entry
+    points convert anything else first.  The matrix itself is not modified."""
 
     def __init__(self, m: ExactMatrix, field):
         self.ncols = m.ncols
         self.field = field
+        rows = list(m.rows)
         if field.characteristic == 0:
-            rows = [_row_to_int(row) for row in m.rows]
             pivots = _forward_int(rows, m.ncols)
         else:
-            rows = [[field.convert(v) for v in row] for row in m.rows]
             pivots = _forward_mod(rows, m.ncols, field.characteristic)
         del rows[len(pivots):]  # all zero after forward elimination
         self.pivots = tuple(pivots)
-        self._rows: list[list] | None = rows
+        self._rows: list | None = rows
         self._space: Subspace | None = None
 
     @property
@@ -234,33 +247,51 @@ class Echelon:
         return self._space
 
 
+def _echelon(m: ExactMatrix, field) -> Echelon:
+    """Echelon behind the public entry points, whose input may hold any
+    field element: each row is first put in working form.  Over Q that is
+    one type check per int row (no per-entry Python loop)."""
+    if field.characteristic:
+        rows = [[field.convert(v) for v in row] for row in m.rows]
+    else:
+        rows = [_row_to_int(row) for row in m.rows]
+    return Echelon(ExactMatrix(m.nrows, m.ncols, rows), field)
+
+
 def rref(m: ExactMatrix, field) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form (shape preserved, zero rows at the bottom)
-    together with the pivot columns."""
-    space = Echelon(m, field).row_space()
-    rows = [list(row) for row in space.basis]
-    rows.extend([field.zero] * m.ncols for _ in range(m.nrows - space.dim))
+    together with the pivot columns.  Over Q the rows are normalised
+    Fractions with pivot entries 1."""
+    space = _echelon(m, field).row_space()
+    if field.characteristic:
+        rows = [list(row) for row in space.basis]
+        zero = field.zero
+    else:
+        rows = [[Fraction(v, row[c]) for v in row] for row, c in zip(space.basis, space.pivots)]
+        zero = Fraction(0)
+    rows.extend([zero] * m.ncols for _ in range(m.nrows - space.dim))
     return ExactMatrix(m.nrows, m.ncols, rows), space.pivots
 
 
 def rank(m: ExactMatrix, field) -> int:
-    """Rank via forward elimination only (no normalisation pass)."""
-    return Echelon(m, field).rank
+    """Rank via forward elimination only (no back-substitution)."""
+    return _echelon(m, field).rank
 
 
 def kernel(m: ExactMatrix, field) -> "Subspace":
     """Right kernel {v : M v = 0} as a canonical subspace of F^ncols: the
     membership constraints of the row space of M span it."""
-    reduced, pivots = rref(m, field)
-    basis = tuple(tuple(row) for row in reduced.rows[: len(pivots)])
-    row_space = Subspace(m.ncols, field, basis, pivots)
-    return Subspace.from_vectors(row_space.membership_constraints(), m.ncols, field)
+    constraints = _echelon(m, field).row_space().membership_constraints()
+    return Echelon(ExactMatrix(len(constraints), m.ncols, constraints), field).row_space()
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace held as a reduced-echelon basis, so equal subspaces
-    compare equal and membership tests are a single reduction sweep."""
+    """A linear subspace held as a canonical echelon basis, so equal
+    subspaces compare equal and membership tests are a single reduction
+    sweep.  Mod p the basis is the reduced echelon form; over Q each basis
+    row is the primitive integer multiple of its reduced echelon row, with a
+    positive pivot entry."""
 
     ambient_dim: int
     field: object
@@ -289,14 +320,17 @@ class Subspace:
                 raise AmbientMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        return Echelon(ExactMatrix.from_rows(materialized, ncols=ambient_dim), field).row_space()
+        return _echelon(ExactMatrix.from_rows(materialized, ncols=ambient_dim), field).row_space()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def reduce(self, vector: Sequence) -> list:
-        """Residual of the vector after sweeping out all basis components."""
+        """Residual of the vector after sweeping out all basis components.
+        Over Q the sweep is fraction-free (pivot·v − c·row, content
+        stripped), so the result is a nonzero integer multiple of the
+        residual: zero exactly when the vector lies in the subspace."""
         v = list(vector)
         if len(v) != self.ambient_dim:
             raise AmbientMismatchError(
@@ -304,40 +338,44 @@ class Subspace:
             )
         if self.dim == self.ambient_dim:
             return [self.field.zero] * self.ambient_dim
-        if self.field.characteristic == 0:
-            for row, p in zip(self.basis, self.pivots):
-                c = v[p]
-                if c:
-                    v = [a - c * b for a, b in zip(v, row)]
-        else:
-            q = self.field.characteristic
-            for row, p in zip(self.basis, self.pivots):
-                c = v[p]
-                if c:
-                    v = [(a - c * b) % q for a, b in zip(v, row)]
-        return v
+        q = self.field.characteristic
+        if not q:
+            v = _row_to_int(v)
+        for row, p in zip(self.basis, self.pivots):
+            c = v[p]
+            if not c:
+                continue
+            if q:
+                v = [(a - c * b) % q for a, b in zip(v, row)]
+            else:
+                piv = row[p]
+                v = _strip_content([piv * a - c * b for a, b in zip(v, row)])
+        return list(v)
 
     def contains(self, vector: Sequence) -> bool:
         return not any(self.reduce(vector))
 
     def membership_constraints(self) -> list[list]:
         """One linear functional per non-pivot coordinate; their common
-        kernel is exactly this subspace."""
-        field = self.field
+        kernel is exactly this subspace.  Over Q each functional is an int
+        row, scaled by the lcm of the basis pivots it involves."""
+        q = self.field.characteristic
         pivot_set = set(self.pivots)
         rows = []
         for c in range(self.ambient_dim):
             if c in pivot_set:
                 continue
-            row = [field.zero] * self.ambient_dim
-            row[c] = field.one
-            for i, p in enumerate(self.pivots):
-                entry = self.basis[i][c]
-                if entry:
-                    row[p] = field.neg(entry)
+            hits = [(p, row[p], row[c]) for row, p in zip(self.basis, self.pivots) if row[c]]
+            scale = math.lcm(*(piv for _, piv, _ in hits))  # 1 mod p: the pivots are 1
+            row = [0] * self.ambient_dim
+            row[c] = scale
+            for p, piv, entry in hits:
+                v = -entry * (scale // piv)
+                row[p] = v % q if q else v
             rows.append(row)
         return rows
 
+    # unused in the package; kept because perfbench/spans.py wraps it by attribute
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise AmbientMismatchError("subspaces live in different ambient spaces")

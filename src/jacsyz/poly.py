@@ -8,6 +8,7 @@ every HomogPoly that reaches the engine has a well-defined degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -62,10 +63,12 @@ class HomogPoly:
     """An immutable homogeneous polynomial with exact coefficients.
 
     The zero polynomial of a declared degree is allowed (it shows up as a
-    vanishing partial derivative); parse_poly never produces it.
+    vanishing partial derivative); parse_poly never produces it.  The first
+    partials are computed once, on first request (partial_derivatives), and
+    kept on the polynomial.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_hash")
+    __slots__ = ("nvars", "degree", "terms", "_hash", "_partials")
 
     def __init__(self, nvars: int, degree: int, terms: dict[Exps, Fraction]):
         if nvars < 1:
@@ -86,6 +89,7 @@ class HomogPoly:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", hash((nvars, degree, frozenset(clean.items()))))
+        object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogPoly is immutable")
@@ -144,6 +148,16 @@ class HomogPoly:
         factor = Fraction(factor)
         return HomogPoly(self.nvars, self.degree, {e: c * factor for e, c in self.terms.items()})
 
+    def primitive(self) -> "HomogPoly":
+        """The primitive integer multiple: coprime integer coefficients, the
+        same polynomial up to a nonzero rational factor.  Zero stays zero."""
+        coeffs = self.terms.values()
+        den = math.lcm(*(c.denominator for c in coeffs))
+        content = math.gcd(*(c.numerator for c in coeffs))
+        if den == 1 and content <= 1:
+            return self
+        return self.scaled(Fraction(den, content))
+
     def partial_derivative(self, i: int) -> "HomogPoly":
         if self.degree < 1:
             raise ValueError("cannot differentiate a degree-0 polynomial")
@@ -190,8 +204,13 @@ class HomogPoly:
 
 def partial_derivatives(f: HomogPoly) -> tuple[HomogPoly, ...]:
     """All first partials of f.  Vanishing partials come back as zero
-    polynomials of degree d-1 so positional bookkeeping stays intact."""
-    return tuple(f.partial_derivative(i) for i in range(f.nvars))
+    polynomials of degree d-1 so positional bookkeeping stays intact.  The
+    tuple is built once per polynomial and the same object is returned on
+    every later call."""
+    if f._partials is None:
+        partials = tuple(f.partial_derivative(i) for i in range(f.nvars))
+        object.__setattr__(f, "_partials", partials)
+    return f._partials
 
 
 def euler_check(f: HomogPoly) -> bool:

@@ -11,6 +11,7 @@ one of the package's central self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .fields import QQ
 # slice_dim is unused here but stays importable: perfbench/spans.py wraps it
@@ -53,8 +54,11 @@ def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     gens = jacobian_generators(f)
     index = basis_index(nvars, m)
     sdim = len(index)
+    # over Q one common factor clears every denominator: scaling all the
+    # partials alike keeps each vector a relation among them
+    scale = 1 if field.characteristic else lcm(*(c.denominator for c in f.terms.values()))
     converted = [
-        [(e, field.convert(c)) for e, c in g.terms.items()] for g in gens
+        [(e, field.convert(c * scale)) for e, c in g.terms.items()] for g in gens
     ]
     vectors = []
     for i in range(nvars):

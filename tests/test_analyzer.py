@@ -3,6 +3,7 @@ JSON/CSV serialization, and the golden-table corpus runner."""
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -284,3 +285,12 @@ class TestReportMisc:
             report, checks=(broken_row,) + report.checks[1:]
         )
         assert not broken.ok
+
+    @pytest.mark.parametrize("field", [None, PrimeField(1000003)], ids=["exact", "mod"])
+    def test_rescaled_form_gives_the_same_report(self, three_cusp, field):
+        # J(c·f) = J(f): only the echoed input text may differ
+        kwargs = {} if field is None else {"field": field}
+        plain = analyze(three_cusp, **kwargs).to_json_dict()
+        scaled = analyze(three_cusp.scaled(Fraction(3, 4)), **kwargs).to_json_dict()
+        assert scaled["input"].pop("poly") != plain["input"].pop("poly")
+        assert scaled == plain

@@ -66,6 +66,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_output_is_one_line_usage_error(self, flag, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report.out"
+        assert run("analyze", "--poly", "x^2*y^2+z^4", flag, str(target)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"jacsyz: error: cannot write {target}")
+        assert err.count("\n") == 1
+        assert not target.parent.exists()
+
     @pytest.mark.parametrize(
         "poly,lost",
         [

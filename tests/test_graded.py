@@ -3,6 +3,7 @@ slice dimensions."""
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -22,7 +23,8 @@ from jacsyz.graded import (
     space_dim,
 )
 from jacsyz.linalg import rank
-from jacsyz.poly import parse_poly, partial_derivatives
+from jacsyz.poly import HomogPoly, parse_poly, partial_derivatives
+from jacsyz.saturation import saturation_slice
 
 XYZ = ("x", "y", "z")
 
@@ -165,3 +167,31 @@ class TestFormTables:
         for _ in range(FORMS_KEPT + 2):
             analyze(random_dense_homogeneous(rng, 3, 3))
         assert graded_module.form_table.cache_info().currsize <= FORMS_KEPT
+
+    def test_partials_are_built_once_per_form(self, monkeypatch):
+        # every stage and check reuses the tuple kept on the polynomial
+        calls = Counter()
+        real = HomogPoly.partial_derivative
+
+        def counting(self, i):
+            calls[i] += 1
+            return real(self, i)
+
+        monkeypatch.setattr(HomogPoly, "partial_derivative", counting)
+        f = parse_poly("x^2*y^2 + x^2*z^2 + y^2*z^2 - 2*x*y*z*(x + y + z)", XYZ)
+        analyze(f)
+        assert sum(calls.values()) <= f.nvars, calls
+
+
+class TestIntegerExactMode:
+    @pytest.mark.parametrize("scale", [1, Fraction(3, 4)], ids=["integral", "rational"])
+    def test_exact_slices_and_constraints_hold_ints(self, three_cusp, scale):
+        f = three_cusp.scaled(scale)
+        gens = partial_derivatives(f)
+        for k in range(2, 8):
+            space = ideal_slice(gens, k)
+            assert all(type(v) is int for row in space.basis for v in row), k
+            constraints = space.membership_constraints()
+            assert all(type(v) is int for row in constraints for v in row), k
+            hat = saturation_slice(f, k)
+            assert all(type(v) is int for row in hat.basis for v in row), k

@@ -36,7 +36,7 @@ def test_transpose_shape():
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     t = m.transpose()
     assert (t.nrows, t.ncols) == (3, 2)
-    assert t.column(1) == [4, 5, 6]
+    assert t.rows == [[1, 4], [2, 5], [3, 6]]
 
 
 class TestRref:

@@ -1,5 +1,6 @@
 """Property-based tests for the algebra core."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import monomial_basis
-from jacsyz.linalg import Echelon, ExactMatrix, kernel, rank, rref
+from jacsyz.linalg import Echelon, ExactMatrix, Subspace, kernel, rank, rref
 from jacsyz.milnor import milnor_dim
 from jacsyz.poly import HomogPoly, euler_check, parse_poly, permute_variables
 
@@ -120,13 +121,59 @@ class TestElimination:
     @given(int_matrices(min_dim=0), st.sampled_from([None, 3, 1000003]))
     @settings(max_examples=80, deadline=None)
     def test_echelon_matches_textbook_oracle(self, m, p):
-        # one forward pass serves the rank; the reduced basis is finished
-        # from the same rows; zero-row and zero-column shapes included
+        # one forward pass serves the rank; the canonical basis is finished
+        # from the same rows; zero-row and zero-column shapes included.
+        # Echelon takes working-form entries: ints over Q, residues mod p
         field = QQ if p is None else PrimeField(p)
-        echelon = Echelon(m, field)
+        working = ExactMatrix.from_rows(
+            [[field.convert(v) for v in row] for row in m.rows], ncols=m.ncols
+        )
+        echelon = Echelon(working, field)
         theirs, their_pivots = naive_rref([list(r) for r in m.rows], m.ncols, p)
         assert echelon.rank == len(their_pivots)
         space = echelon.row_space()
         assert list(space.pivots) == their_pivots
-        assert [list(r) for r in space.basis] == theirs[: len(their_pivots)]
+        if p is None:
+            # over Q: the primitive integer multiple of each reduced row,
+            # with a positive pivot
+            for row, c, their_row in zip(space.basis, space.pivots, theirs):
+                assert all(type(v) is int for v in row)
+                assert row[c] > 0 and math.gcd(*row) == 1
+                assert [Fraction(v, row[c]) for v in row] == their_row
+        else:
+            assert [list(r) for r in space.basis] == theirs[: len(their_pivots)]
         assert echelon.rank == space.dim
+
+    @given(
+        int_matrices(max_dim=4),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        st.sampled_from([None, 1000003]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_contains_matches_rank_oracle(self, m, mix, noise, p):
+        # a combination of the rows, sometimes pushed off by a noise vector;
+        # it lies in the span exactly when appending it keeps the rank
+        field = QQ if p is None else PrimeField(p)
+        rows = [list(r) for r in m.rows]
+        vector = [
+            sum(c * row[j] for c, row in zip(mix, rows)) + noise[j] for j in range(m.ncols)
+        ]
+        if p is not None:
+            vector = [field.convert(v) for v in vector]
+        space = Subspace.from_vectors(rows, m.ncols, field)
+        before = len(naive_rref(rows, m.ncols, p)[1])
+        after = len(naive_rref(rows + [vector], m.ncols, p)[1])
+        assert space.contains(vector) == (before == after)
+
+    @given(int_matrices(min_dim=0))
+    @settings(max_examples=60, deadline=None)
+    def test_from_vectors_ignores_row_scaling(self, m):
+        plain = Subspace.from_vectors(m.rows, m.ncols, QQ)
+        for scale in (Fraction(1, 2), -3):
+            scaled = [[scale * v for v in row] for row in m.rows]
+            assert Subspace.from_vectors(scaled, m.ncols, QQ) == plain
+        mixed = [
+            [(Fraction(1, 2) if i % 2 else -3) * v for v in row] for i, row in enumerate(m.rows)
+        ]
+        assert Subspace.from_vectors(mixed, m.ncols, QQ) == plain
