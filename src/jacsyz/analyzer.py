@@ -299,9 +299,13 @@ def _full_checks(
     else:
         checks.append(_na_check("smooth_relations_all_koszul"))
 
+    # J_k = Ĵ_k from this degree on (the saturation agreement bound)
+    bound = mp.st if smooth else max(T - mp.ct, mp.st)
     gens = jacobian_generators(f)
     outside = 0
-    for k in range(T + 1):
+    # at and above the bound saturation_slice is J_k itself, so the row
+    # would compare J_k with J_k: only lower degrees are swept
+    for k in range(min(T + 1, bound)):
         hat = saturation_slice(f, k, field)
         if hat.dim == hat.ambient_dim:
             continue  # Ĵ_k = S_k holds J_k by definition
@@ -324,7 +328,6 @@ def _full_checks(
             CheckRow("defect_vanishing_threshold", first_zero, T - mp.ct, first_zero == T - mp.ct)
         )
 
-    bound = mp.st if smooth else max(T - mp.ct, mp.st)
     checks.append(CheckRow("saturation_threshold_bound", satp.sat, bound, satp.sat <= bound))
     if smooth:
         checks.append(_na_check("a_invariant_closed_form"))

@@ -6,6 +6,12 @@ T = (n+1)(d−2).  For isolated singularities dim M(f)_k instead stabilises at
 the total Tjurina number τ; the degree where it stops matching the smooth
 series (ct) and the degree where it reaches τ (st) are the two thresholds
 everything else in this package hangs off.
+
+The scan of dim M(f)_k stops at the first degree where a theorem proves the
+plateau: Gotzmann persistence once k−1 ≥ τ, or, usually much earlier, the
+Bayer–Stillman criterion at m = k−1 (as early as m = reg(J)), tested on the
+partials restricted to a hyperplane ℓ_t.  Without either proof in the scanned range a window test
+decides, and the verdict is tagged as a heuristic.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from math import comb
 from typing import Sequence
 
 from .fields import QQ
-from .graded import per_form, slice_dim, space_dim
+from .graded import multiplication_matrix, per_form, slice_dim, space_dim
+from .linalg import Echelon
 from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
@@ -45,8 +52,9 @@ class SmoothInputError(ValueError):
     """The requested invariant is undefined for a smooth hypersurface."""
 
 
-# isolated_method tags: a proof of the constant tail, or the fallback test
+# isolated_method tags: two proofs of the constant tail, or the fallback test
 GOTZMANN = "gotzmann-persistence"
+BAYER_STILLMAN = "bayer-stillman"
 HEURISTIC = "heuristic-window"
 
 
@@ -103,15 +111,15 @@ def jacobian_generators(f: HomogPoly) -> tuple[HomogPoly, ...]:
 def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
     """dim M(f)_k = dim S_k − dim (J_f)_k, read from the Milnor profile:
     every degree it covers, and every higher degree once the profile is
-    certified.  Only other degrees, or forms the profile rejects, cost a
-    slice rank."""
+    certified by either proof (the plateau it filled in).  Only other
+    degrees, or forms the profile rejects, cost a slice rank."""
     if k < 0:
         return 0
     if not f.is_zero and f.degree >= 2:
         profile = _milnor_profile(f, None, field)
         if k <= profile.computed_max:
             return profile.dims[k]
-        if profile.isolated_method == GOTZMANN:
+        if profile.isolated_method != HEURISTIC:
             return profile.dims[-1]
     return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k, field)
 
@@ -121,10 +129,11 @@ class MilnorProfile:
     """Degree-wise dimensions of M(f) next to the smooth reference, with the
     stabilisation verdict.  dims/smooth_dims run 0..computed_max, which is at
     least k_max (the reporting range) and always covers the window past
-    top_degree.  isolated_method is GOTZMANN when the scan stopped at a
-    proven plateau (_persistence_certified) and the dims above it repeat
-    it; HEURISTIC when every dim was computed and the verdict rests on the
-    window test alone."""
+    top_degree.  isolated_method names how the verdict was reached:
+    GOTZMANN or BAYER_STILLMAN when the scan stopped at a plateau that
+    proof certified (_persistence_certified, _regularity_certified) and the
+    dims above it repeat it; HEURISTIC when every dim was computed and the
+    verdict rests on the window test alone."""
 
     nvars: int
     n: int
@@ -162,6 +171,77 @@ def _persistence_certified(dims: list[int], d: int) -> bool:
     return k >= 1 and dims[k - 1] == tau and k - 1 >= max(d - 1, tau)
 
 
+def _on_hyperplane(g: HomogPoly, t: int) -> HomogPoly:
+    """g restricted to ℓ_t = x_n − Σ_{i<n} t^{i+1}·x_i = 0, as a form in
+    x_0..x_{n−1}: x_n ↦ Σ_{i<n} t^{i+1}·x_i."""
+    n = g.nvars - 1
+    line = HomogPoly(
+        n, 1, {tuple(int(i == j) for j in range(n)): t ** (i + 1) for i in range(n)}
+    )
+    powers = [HomogPoly(n, 0, {(0,) * n: 1})]
+    terms: dict = {}
+    for e, c in g.terms.items():
+        while len(powers) <= e[n]:
+            powers.append(powers[-1] * line)
+        for e2, c2 in powers[e[n]].terms.items():
+            key = tuple(a + b for a, b in zip(e[:n], e2))
+            terms[key] = terms.get(key, 0) + c * c2
+    return HomogPoly(n, g.degree, terms)
+
+
+def _regularity_certified(
+    gens: tuple[HomogPoly, ...], dims: list[int], d: int, field, sections: dict
+) -> bool:
+    """Whether dims[0..k] fix every higher dim of M(f) at dims[k], by
+    Bayer–Stillman at m = k−1.
+
+    The test: m ≥ d−1, dims[m] = dims[k] > 0, and for some member ℓ of the
+    family ℓ_t = x_n − Σ_{i<n} t^{i+1}·x_i (t = 1, 2, …) the partials
+    restricted to ℓ = 0 span every degree-m form in x_0..x_{n−1}, that is
+    (J+ℓ)_m = S_m.  Then:
+    - (J+ℓ)_j = S_j for every j ≥ m, so ℓ maps M_j onto M_{j+1}; equal
+      dims at m make ℓ: M_m → M_{m+1} injective, so (J:ℓ)_m = J_m;
+    - J is generated in degree d−1 ≤ m, so Bayer–Stillman (Invent. Math.
+      87, 1987, Thm 1.10, with h_1 = ℓ) makes J m-regular.  From m on the
+      Hilbert function of M(f) is therefore a polynomial; it is also
+      nonincreasing and nonnegative, so it is constant and V(J) is finite.
+    Over Q one of the first n·τ+1 members avoids all (at most τ) singular
+    points, since a point lies on at most n members; and for singular input
+    reg(J) ≤ T+1, as reg(S/J) = max(T−ct, sat−1) ≤ T (the closed form every
+    report checks).  So every isolated input over Q is certified by degree
+    T+2 ≤ k_top, if Gotzmann has not certified it before.  Over GF(p) only t mod p matters, so at most
+    p members are tried, and small fields may have none that works.
+
+    `sections` keeps the restricted partials per t across the scan; the
+    rows ≥ cols count rejects most degrees before any restriction."""
+    k = len(dims) - 1
+    m = k - 1
+    n = gens[0].nvars - 1
+    if n < 1 or m < d - 1 or not dims[k] or dims[m] != dims[k]:
+        return False
+    usable = [g for g in gens if not g.is_zero]
+    cols = space_dim(n, m)
+    if len(usable) * space_dim(n, m - (d - 1)) < cols:
+        return False
+    members = n * dims[k] + 1
+    if field.characteristic:
+        members = min(members, field.characteristic)
+    for t in range(1, members + 1):
+        if t not in sections:
+            restricted = (_on_hyperplane(g, t) for g in usable)
+            sections[t] = tuple(
+                g.primitive() if field.characteristic == 0 else g
+                for g in restricted
+                if not g.is_zero
+            )
+        if not sections[t]:
+            continue
+        m_rows = multiplication_matrix(sections[t], m, field).transpose()
+        if Echelon(m_rows, field).rank == cols:
+            return True
+    return False
+
+
 @per_form
 def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     if f.is_zero:
@@ -180,13 +260,19 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
 
     gens = jacobian_generators(f)
     scan: list[int] = []
-    certified = False
+    sections: dict[int, tuple[HomogPoly, ...]] = {}
+    method = HEURISTIC
     for k in range(k_top + 1):
         scan.append(space_dim(nvars, k) - slice_dim(gens, k, field))
         if _persistence_certified(scan, d):
-            certified = True
-            scan += [scan[k]] * (k_top - k)
-            break
+            method = GOTZMANN
+        elif _regularity_certified(gens, scan, d, field, sections):
+            method = BAYER_STILLMAN
+        else:
+            continue
+        scan += [scan[k]] * (k_top - k)
+        break
+    certified = method != HEURISTIC
     dims = tuple(scan)
     smooth = tuple(smooth_series_coeff(n, d, k) for k in range(k_top + 1))
 
@@ -222,7 +308,7 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
         smooth_input=smooth_input,
         stabilized=stabilized,
         isolated=isolated,
-        isolated_method=GOTZMANN if certified else HEURISTIC,
+        isolated_method=method,
     )
 
 
@@ -260,8 +346,11 @@ def coincidence_threshold(f: HomogPoly, field=QQ) -> int:
 
 
 def isolated_check(f: HomogPoly, field=QQ) -> tuple[bool, str]:
-    """Isolatedness verdict plus its method tag: a proof under GOTZMANN;
-    under HEURISTIC, True only means the dims sat constant on the window
-    past top_degree, which is necessary for isolatedness but not a proof."""
+    """Isolatedness verdict plus its method tag: a proof under GOTZMANN or
+    BAYER_STILLMAN; under HEURISTIC, True only means the dims sat constant
+    on the window past top_degree, which is necessary for isolatedness but
+    not a proof.  HEURISTIC is left for non-isolated input and for isolated
+    input over a small prime field, where every member of the ℓ_t family
+    may pass through a singular point."""
     profile = _milnor_profile(f, None, field)
     return profile.isolated, profile.isolated_method

@@ -8,8 +8,10 @@ import pytest
 import jacsyz.graded as graded_module
 import jacsyz.milnor as milnor_module
 from helpers import random_dense_homogeneous
-from jacsyz.cli import EXIT_NON_ISOLATED, EXIT_OK, main
+from jacsyz.analyzer import analyze
+from jacsyz.cli import EXIT_NON_ISOLATED, main
 from jacsyz.corpus import CORPUS
+from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import slice_dim, space_dim
 from jacsyz.milnor import (
     NotStabilizedError,
@@ -99,7 +101,7 @@ class TestProfile:
         assert p.ct == 4
         assert not p.smooth_input
         assert p.isolated
-        assert p.isolated_method == "gotzmann-persistence"
+        assert p.isolated_method == "bayer-stillman"
 
     def test_fermat_quartic_is_smooth(self, fermat_quartic):
         p = milnor_profile(fermat_quartic)
@@ -184,7 +186,7 @@ class TestOps:
 
     def test_isolated_check_tags(self, three_cusp, non_isolated):
         ok, method = isolated_check(three_cusp)
-        assert ok and method == "gotzmann-persistence"
+        assert ok and method == "bayer-stillman"
         bad, method2 = isolated_check(non_isolated)
         assert not bad and method2 == "heuristic-window"
 
@@ -198,52 +200,96 @@ def _direct_milnor_dim(f, k):
     return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k)
 
 
+def _slice_degrees(f):
+    # degrees of the Jacobian slices built so far for f over Q
+    table = graded_module.form_table(jacobian_generators(f), QQ)
+    return [k for k in table if isinstance(k, int)]
+
+
+# three of six lines on the coordinate triangle, as the lines-exact workload
+# draws them (tau = 15, st = 8, T = 12)
+SIX_LINES = "x*y*z*(x - 1*y - 1*z)*(x + 1*y + 2*z)*(x + 3*y - 3*z)"
+# four lines with a node at (0:1:1), which lies on l_1 = z - x - y
+NODE_ON_L1 = "x*y*z*(y-z)"
+EXTRA = {"x^6-y^6": "x^6-y^6", "node-on-l1": NODE_ON_L1, "lines-1": SIX_LINES}
+BAYER_STILLMAN = {
+    "three-cusp-quartic",
+    "coordinate-triangle",
+    "binomial-2-2-4",
+    "binomial-2-3-5",
+    *EXTRA,
+}
+
+
 class TestCertificate:
-    """The scan stops at a Gotzmann-certified plateau and fills the rest of
-    the range from it; inputs without a certificate keep the window test."""
+    """The scan stops at a plateau proved by Gotzmann persistence or by
+    Bayer–Stillman and fills the rest of the range from it; inputs without
+    a certificate keep the window test."""
 
     @pytest.mark.parametrize(
-        "name", [e.name for e in CORPUS] + [f"dense-{seed}" for seed in range(10)]
+        "name",
+        [e.name for e in CORPUS] + [f"dense-{seed}" for seed in range(10)] + list(EXTRA),
     )
     def test_filled_tail_matches_direct_rank(self, name, corpus_polys):
         if name.startswith("dense-"):
             # seeded dense ternary forms of degree 3, 4, 5 in turn
             seed = int(name[len("dense-"):])
             f = random_dense_homogeneous(random.Random(seed), 3, 3 + seed % 3)
+        elif name in EXTRA:
+            f = parse_poly(EXTRA[name], XYZ)
         else:
             f = corpus_polys[name]
         p = milnor_profile(f)
-        assert p.isolated_method == "gotzmann-persistence"
+        expected = "bayer-stillman" if name in BAYER_STILLMAN else "gotzmann-persistence"
+        assert p.isolated_method == expected
         assert p.computed_max == max(
             default_k_max(f.nvars, f.degree), p.top_degree + p.n + 2
         )
         for k in range(p.computed_max + 1):
             assert p.dims[k] == _direct_milnor_dim(f, k), (name, k)
 
-    def test_no_slice_past_the_certificate(self, monkeypatch, three_cusp):
-        requested = []
-        real = milnor_module.slice_dim
+    def test_no_slice_past_the_certificate(self, three_cusp):
+        # the scan stops at m + 1 with m = st, and the checks stop below the
+        # agreement bound, so no later stage builds a higher slice either
+        for f, top, tau in ((three_cusp, 5, 6), (parse_poly(SIX_LINES, XYZ), 9, 15)):
+            graded_module.form_table.cache_clear()
+            report = analyze(f)
+            assert report.milnor.isolated_method == "bayer-stillman"
+            assert max(_slice_degrees(f)) == top
+            # past the range a certified profile answers without any slice
+            assert milnor_dim(f, 40) == tau
+            assert max(_slice_degrees(f)) == top
 
-        def counting(gens, degree, field):
-            requested.append(degree)
-            return real(gens, degree, field)
-
-        monkeypatch.setattr(milnor_module, "slice_dim", counting)
+    def test_dense_equal_pair_is_rejected_before_any_restriction(self, monkeypatch):
+        # a smooth quintic has dims[4] = dims[5] = 12, but 3 partials times
+        # the 1 monomial of degree 0 cannot span the 5 quartics in 2 variables
+        calls = []
+        real = milnor_module._on_hyperplane
+        monkeypatch.setattr(
+            milnor_module, "_on_hyperplane", lambda g, t: calls.append(t) or real(g, t)
+        )
         graded_module.form_table.cache_clear()
-        p = milnor_profile(three_cusp)
+        p = milnor_profile(random_dense_homogeneous(random.Random(2), 3, 5))
+        assert p.dims[4] == p.dims[5] == 12
         assert p.isolated_method == "gotzmann-persistence"
-        assert max(requested) == max(p.d - 1, p.tau) + 1 == 7
-        assert p.computed_max == 14
-        # past the range a certified profile answers without any slice
-        requested.clear()
-        assert milnor_dim(three_cusp, 40) == 6
-        assert requested == []
+        assert calls == []
+
+    def test_singular_point_on_the_first_hyperplane(self):
+        f = parse_poly(NODE_ON_L1, XYZ)
+        graded_module.form_table.cache_clear()
+        p = milnor_profile(f)
+        assert p.isolated_method == "bayer-stillman"
+        assert max(_slice_degrees(f)) == 5  # certified at m = 4
+        gens = jacobian_generators(f)
+        spans = {}
+        for t in (1, 2):
+            restricted = [milnor_module._on_hyperplane(g, t) for g in gens]
+            spans[t] = slice_dim([g for g in restricted if not g.is_zero], 4) == space_dim(2, 4)
+        assert spans == {1: False, 2: True}
 
     @pytest.mark.parametrize(
         "poly,tau,st,exit_code",
         [
-            # tau = 25 lies beyond the scanned range (k_top = 20)
-            ("x^6-y^6", 25, 8, EXIT_OK),
             # singular along two lines: no plateau at all
             ("x^2*y^2", None, None, EXIT_NON_ISOLATED),
         ],
@@ -254,3 +300,12 @@ class TestCertificate:
         assert (p.tau, p.st, p.isolated) == (tau, st, tau is not None)
         assert main(["analyze", "--poly", poly]) == exit_code
         capsys.readouterr()
+
+    def test_small_field_keeps_the_window_test(self):
+        # over GF(3) this arrangement has tau = 21 and none of the three
+        # members of the family certifies it; the window still finds it
+        # isolated
+        f = parse_poly("x*y*z*(x - 2*y - 3*z)*(x - y - z)*(x + 3*y + 2*z)", XYZ)
+        p = milnor_profile(f, field=PrimeField(3))
+        assert p.isolated_method == "heuristic-window"
+        assert (p.tau, p.isolated) == (21, True)
