@@ -12,6 +12,12 @@ plateau: Gotzmann persistence once k−1 ≥ τ, or, usually much earlier, the
 Bayer–Stillman criterion at m = k−1 (as early as m = reg(J)), tested on the
 partials restricted to a hyperplane ℓ_t.  Without either proof in the scanned range a window test
 decides, and the verdict is tagged as a heuristic.
+
+Over Q, each dim J_k at a degree where the partials' multiples are
+dependent (k ≥ 2(d−1)) is first taken from one elimination over
+GF(SCREEN_PRIME); a rank that reaches the generic value is exact
+(_quotient_dim has the proof), any other degree or shortfall is an exact
+integer elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .fields import QQ
+from .fields import QQ, PrimeField
 from .graded import multiplication_matrix, per_form, slice_dim, space_dim
 from .linalg import Echelon
 from .poly import HomogPoly, partial_derivatives
@@ -56,6 +62,10 @@ class SmoothInputError(ValueError):
 GOTZMANN = "gotzmann-persistence"
 BAYER_STILLMAN = "bayer-stillman"
 HEURISTIC = "heuristic-window"
+
+# one fixed prime below 2^15: every residue product fits in one 30-bit
+# CPython digit, and any prime gives a valid lower bound on the rank over Q
+SCREEN_PRIME = PrimeField(32003)
 
 
 def top_degree(nvars: int, d: int) -> int:
@@ -108,11 +118,45 @@ def jacobian_generators(f: HomogPoly) -> tuple[HomogPoly, ...]:
     return partial_derivatives(f)
 
 
+def _quotient_dim(f: HomogPoly, k: int, field) -> int:
+    """dim M(f)_k over `field`, from one rank of the degree-k Jacobian slice.
+
+    Over Q, at k ≥ 2(d−1) with every partial nonzero, the slice of the
+    primitive partials is first eliminated over GF(SCREEN_PRIME).  Call that
+    integer matrix A and r_k = dim S_k − smooth_series_coeff(n, d, k) the
+    generic rank.  Then rank_p(A mod p) ≤ rank_Q(A) ≤ r_k:
+    - for any integer matrix, a nonzero minor mod p is a nonzero minor over
+      Q, so the rank mod p is at most the rank over Q;
+    - making the partials primitive rescales whole row blocks, which
+      changes no rank over Q, so rank_Q(A) = dim (J_f)_k;
+    - rank_Q (J_f)_k is lower semicontinuous in the coefficients of f
+      (rank ≥ r is the nonvanishing of some r×r minor), so its maximum is
+      attained on a dense open set of forms; that set meets the dense open
+      set of smooth forms, so the maximum is the smooth value r_k.
+    So a rank mod p equal to r_k is the exact rank, and dim M(f)_k is the
+    smooth value; a shortfall (a singular f, or an unlucky p) falls back to
+    the exact slice.  Below 2(d−1) the rows do not exceed r_k, so there are
+    no Koszul relations for fraction-free elimination to reduce to zero,
+    and those exact slices are the ones later stages reuse: they are
+    computed directly.  A zero partial makes f a cone, singular at its
+    vertex, and such an f is not screened either.  Over GF(p) the slice
+    rank is used as it is."""
+    gens = jacobian_generators(f)
+    nvars, d = f.nvars, f.degree
+    if field.characteristic == 0 and k >= 2 * (d - 1) and not any(g.is_zero for g in gens):
+        smooth = smooth_series_coeff(nvars - 1, d, k)
+        primitive = [g.primitive() for g in gens]
+        rows = multiplication_matrix(primitive, k, SCREEN_PRIME).transpose()
+        if Echelon(rows, SCREEN_PRIME).rank == space_dim(nvars, k) - smooth:
+            return smooth
+    return space_dim(nvars, k) - slice_dim(gens, k, field)
+
+
 def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
     """dim M(f)_k = dim S_k − dim (J_f)_k, read from the Milnor profile:
     every degree it covers, and every higher degree once the profile is
     certified by either proof (the plateau it filled in).  Only other
-    degrees, or forms the profile rejects, cost a slice rank."""
+    degrees, or forms the profile rejects, cost a rank (_quotient_dim)."""
     if k < 0:
         return 0
     if not f.is_zero and f.degree >= 2:
@@ -121,7 +165,7 @@ def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
             return profile.dims[k]
         if profile.isolated_method != HEURISTIC:
             return profile.dims[-1]
-    return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k, field)
+    return _quotient_dim(f, k, field)
 
 
 @dataclass(frozen=True)
@@ -195,12 +239,14 @@ def _regularity_certified(
     """Whether dims[0..k] fix every higher dim of M(f) at dims[k], by
     Bayer–Stillman at m = k−1.
 
-    The test: m ≥ d−1, dims[m] = dims[k] > 0, and for some member ℓ of the
-    family ℓ_t = x_n − Σ_{i<n} t^{i+1}·x_i (t = 1, 2, …) the partials
-    restricted to ℓ = 0 span every degree-m form in x_0..x_{n−1}, that is
-    (J+ℓ)_m = S_m.  Then:
+    The test: m ≥ d−1, dims[m−1] ≥ dims[m] = dims[k] > 0, and for some
+    member ℓ of the family ℓ_t = x_n − Σ_{i<n} t^{i+1}·x_i (t = 1, 2, …)
+    the partials restricted to ℓ = 0 span every degree-m form in
+    x_0..x_{n−1}, that is (J+ℓ)_m = S_m.  Then:
     - (J+ℓ)_j = S_j for every j ≥ m, so ℓ maps M_j onto M_{j+1}; equal
-      dims at m make ℓ: M_m → M_{m+1} injective, so (J:ℓ)_m = J_m;
+      dims at m make ℓ: M_m → M_{m+1} injective, so (J:ℓ)_m = J_m.  As
+      ℓ: M_{m−1} → M_m is onto too, dims[m−1] < dims[m] rules out every
+      member before any restriction;
     - J is generated in degree d−1 ≤ m, so Bayer–Stillman (Invent. Math.
       87, 1987, Thm 1.10, with h_1 = ℓ) makes J m-regular.  From m on the
       Hilbert function of M(f) is therefore a polynomial; it is also
@@ -218,6 +264,8 @@ def _regularity_certified(
     m = k - 1
     n = gens[0].nvars - 1
     if n < 1 or m < d - 1 or not dims[k] or dims[m] != dims[k]:
+        return False
+    if dims[m - 1] < dims[m]:
         return False
     usable = [g for g in gens if not g.is_zero]
     cols = space_dim(n, m)
@@ -263,7 +311,7 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     sections: dict[int, tuple[HomogPoly, ...]] = {}
     method = HEURISTIC
     for k in range(k_top + 1):
-        scan.append(space_dim(nvars, k) - slice_dim(gens, k, field))
+        scan.append(_quotient_dim(f, k, field))
         if _persistence_certified(scan, d):
             method = GOTZMANN
         elif _regularity_certified(gens, scan, d, field, sections):

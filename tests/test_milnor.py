@@ -211,6 +211,8 @@ def _slice_degrees(f):
 SIX_LINES = "x*y*z*(x - 1*y - 1*z)*(x + 1*y + 2*z)*(x + 3*y - 3*z)"
 # four lines with a node at (0:1:1), which lies on l_1 = z - x - y
 NODE_ON_L1 = "x*y*z*(y-z)"
+# smooth over Q; its z^5 term vanishes mod 32003
+SCREEN_SHORTFALL = "x*y*z^3 + x^5 + y^5 + 32003*z^5"
 EXTRA = {"x^6-y^6": "x^6-y^6", "node-on-l1": NODE_ON_L1, "lines-1": SIX_LINES}
 BAYER_STILLMAN = {
     "three-cusp-quartic",
@@ -301,6 +303,19 @@ class TestCertificate:
         assert main(["analyze", "--poly", poly]) == exit_code
         capsys.readouterr()
 
+    def test_rising_dims_reject_every_member(self):
+        # dims[14] = 72 < dims[15] = dims[16] = 73: no hyperplane can map
+        # M_14 onto M_15, so m = 15 fails before any restriction is built
+        f = parse_poly("x^5*y^5+z^10", XYZ)
+        p = milnor_profile(f)
+        assert p.dims[14] < p.dims[15] == p.dims[16]
+        sections = {}
+        certified = milnor_module._regularity_certified(
+            jacobian_generators(f), list(p.dims[:17]), f.degree, QQ, sections
+        )
+        assert not certified
+        assert sections == {}
+
     def test_small_field_keeps_the_window_test(self):
         # over GF(3) this arrangement has tau = 21 and none of the three
         # members of the family certifies it; the window still finds it
@@ -309,3 +324,46 @@ class TestCertificate:
         p = milnor_profile(f, field=PrimeField(3))
         assert p.isolated_method == "heuristic-window"
         assert (p.tau, p.isolated) == (21, True)
+
+
+class TestScreen:
+    """Over Q, a Milnor rank at k ≥ 2(d−1) is taken from one GF(32003)
+    elimination when that reaches the generic rank, and from the exact
+    slice otherwise; a prime field is never screened."""
+
+    @pytest.mark.parametrize(
+        "nvars,d,seed", [(3, 5, 0), (3, 6, 0), (3, 6, 1), (4, 3, 0), (4, 3, 1)]
+    )
+    def test_screened_dims_are_exact_ranks(self, nvars, d, seed):
+        f = random_dense_homogeneous(random.Random(seed), nvars, d)
+        graded_module.form_table.cache_clear()
+        p = milnor_profile(f)
+        assert p.smooth_input and p.isolated_method == "gotzmann-persistence"
+        # the scan stops at T+1 (dims 0), and no degree from 2(d−1) on
+        # fell back to an exact slice
+        stop = p.top_degree + 1
+        assert max(_slice_degrees(f)) == 2 * (d - 1) - 1
+        # above T+1 the dims are the filled 0: J_{T+1} = S_{T+1} already
+        for k in range(stop + 1):
+            assert p.dims[k] == _direct_milnor_dim(f, k), k
+
+    def test_shortfall_falls_back_to_the_exact_slice(self):
+        # smooth over Q, but z^5 vanishes mod 32003 and the screen sees
+        # rank 65 < 66 in degree 10
+        f = parse_poly(SCREEN_SHORTFALL, XYZ)
+        gens = jacobian_generators(f)
+        graded_module.form_table.cache_clear()
+        p = milnor_profile(f)
+        assert [k for k in _slice_degrees(f) if k >= 8] == [10]
+        assert p.tau == 0 and p.dims == p.smooth_dims
+        for k in range(p.computed_max + 1):
+            assert p.dims[k] == space_dim(3, k) - slice_dim(gens, k, QQ), k
+        assert slice_dim(gens, 10, PrimeField(32003)) == 65
+
+    def test_prime_field_is_never_screened(self):
+        f = random_dense_homogeneous(random.Random(2), 3, 5)
+        field = PrimeField(2147483647)
+        graded_module.form_table.cache_clear()
+        milnor_profile(f, field=field)
+        table = graded_module.form_table(jacobian_generators(f), field)
+        assert {8, 9, 10} <= set(table)
