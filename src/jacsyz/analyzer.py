@@ -460,9 +460,9 @@ def analyze(
 ) -> InvariantReport:
     """Run the full pipeline on one form and assemble the report.
 
-    Input not found isolated yields a partial report (Milnor data and the
-    input-independent checks only) with a prominent warning; everything
-    downstream of the thresholds needs stabilized dimensions.
+    Input not certified isolated yields a partial report (Milnor data and
+    the input-independent checks only) with a prominent warning; everything
+    downstream of the thresholds needs certified dimensions.
     """
     names = tuple(var_names) if var_names else tuple(f"x{i}" for i in range(f.nvars))
     if len(names) != f.nvars:
@@ -489,7 +489,7 @@ def analyze(
 
     if not mp.isolated:
         warnings.append(
-            "isolatedness heuristic failed: Milnor dimensions were still moving at "
+            "isolatedness not-certified: no proof that the Milnor dimensions settle by "
             f"degree {mp.computed_max}; thresholds, syzygies and saturation are omitted"
         )
         return InvariantReport(

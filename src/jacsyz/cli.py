@@ -6,8 +6,8 @@ against their golden values.
 
 Exit codes: 0 all checks pass; 1 usage or input parse error, or an output
 file that cannot be written; 2 an identity or golden comparison failed; 3
-the Milnor dimensions never settled, so the input is not known to have
-isolated singularities (a partial report is still produced).
+isolatedness not-certified, so the input is not known to have isolated
+singularities (a partial report is still produced).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _summary_lines(report: InvariantReport) -> list[str]:
         f"(vars {','.join(report.var_names)}; n={m.n}, d={m.d}; field {report.field_name})"
     ]
     if not m.isolated:
-        lines.append("isolatedness heuristic FAILED: partial report only")
+        lines.append("isolatedness not-certified: partial report only")
         lines.append("milnor dims: " + ",".join(str(v) for v in m.dims[: m.k_max + 1]))
         lines.extend(f"warning: {w}" for w in report.warnings)
         return lines

@@ -10,8 +10,9 @@ everything else in this package hangs off.
 The scan of dim M(f)_k stops at the first degree where a theorem proves the
 plateau: Gotzmann persistence once k−1 ≥ τ, or, usually much earlier, the
 Bayer–Stillman criterion at m = k−1 (as early as m = reg(J)), tested on the
-partials restricted to a hyperplane ℓ_t.  Without either proof in the scanned range a window test
-decides, and the verdict is tagged as a heuristic.
+partials restricted to a hyperplane ℓ_t.  Without either proof the profile
+is tagged NOT_CERTIFIED and treated as non-isolated; over Q that is itself
+proved (_regularity_certified).
 
 Over Q, each dim J_k at a degree where the partials' multiples are
 dependent (k ≥ 2(d−1)) is first taken from one elimination over
@@ -23,6 +24,7 @@ integer elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 from typing import Sequence
 
@@ -50,18 +52,18 @@ __all__ = [
 
 
 class NotStabilizedError(RuntimeError):
-    """Milnor dimensions never settled inside the inspection window —
-    either the singularities are not isolated or k_max is too small."""
+    """No certificate proves that the Milnor dimensions settle; over Q that
+    proves the singularities are not isolated."""
 
 
 class SmoothInputError(ValueError):
     """The requested invariant is undefined for a smooth hypersurface."""
 
 
-# isolated_method tags: two proofs of the constant tail, or the fallback test
+# isolated_method tags: two proofs of the constant tail, or neither
 GOTZMANN = "gotzmann-persistence"
 BAYER_STILLMAN = "bayer-stillman"
-HEURISTIC = "heuristic-window"
+NOT_CERTIFIED = "not-certified"
 
 # one fixed prime below 2^15: every residue product fits in one 30-bit
 # CPython digit, and any prime gives a valid lower bound on the rank over Q
@@ -75,7 +77,7 @@ def top_degree(nvars: int, d: int) -> int:
 
 def default_k_max(nvars: int, d: int) -> int:
     """Default reporting range: top_degree+1, by which isolated singularities
-    have stabilised, plus a margin that also holds the fallback test's window."""
+    have stabilised, plus a margin."""
     return max(top_degree(nvars, d), 0) + 2 * (nvars - 1) + 4
 
 
@@ -163,7 +165,7 @@ def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
         profile = _milnor_profile(f, None, field)
         if k <= profile.computed_max:
             return profile.dims[k]
-        if profile.isolated_method != HEURISTIC:
+        if profile.isolated:
             return profile.dims[-1]
     return _quotient_dim(f, k, field)
 
@@ -171,13 +173,13 @@ def milnor_dim(f: HomogPoly, k: int, field=QQ) -> int:
 @dataclass(frozen=True)
 class MilnorProfile:
     """Degree-wise dimensions of M(f) next to the smooth reference, with the
-    stabilisation verdict.  dims/smooth_dims run 0..computed_max, which is at
-    least k_max (the reporting range) and always covers the window past
-    top_degree.  isolated_method names how the verdict was reached:
-    GOTZMANN or BAYER_STILLMAN when the scan stopped at a plateau that
-    proof certified (_persistence_certified, _regularity_certified) and the
-    dims above it repeat it; HEURISTIC when every dim was computed and the
-    verdict rests on the window test alone."""
+    isolatedness verdict.  dims/smooth_dims run 0..computed_max, which is at
+    least k_max (the reporting range) and top_degree+2.  isolated_method
+    names the proof: GOTZMANN or BAYER_STILLMAN when the scan stopped at a
+    plateau that proof certified (_persistence_certified,
+    _regularity_certified) and the dims above it repeat it; NOT_CERTIFIED,
+    which makes `isolated` False, when neither proof came up and every dim
+    was computed."""
 
     nvars: int
     n: int
@@ -190,9 +192,11 @@ class MilnorProfile:
     st: int | None
     ct: int | None
     smooth_input: bool
-    stabilized: bool
-    isolated: bool
-    isolated_method: str = HEURISTIC
+    isolated_method: str
+
+    @property
+    def isolated(self) -> bool:
+        return self.isolated_method != NOT_CERTIFIED
 
     @property
     def computed_max(self) -> int:
@@ -255,8 +259,9 @@ def _regularity_certified(
     points, since a point lies on at most n members; and for singular input
     reg(J) ≤ T+1, as reg(S/J) = max(T−ct, sat−1) ≤ T (the closed form every
     report checks).  So every isolated input over Q is certified by degree
-    T+2 ≤ k_top, if Gotzmann has not certified it before.  Over GF(p) only t mod p matters, so at most
-    p members are tried, and small fields may have none that works.
+    T+2 ≤ k_top, if Gotzmann has not certified it before.  Over GF(p) only
+    t mod p matters, so at most p members are tried, and small fields may
+    have none that works; a flat tail is then left to Gotzmann.
 
     `sections` keeps the restricted partials per t across the scan; the
     rows ≥ cols count rejects most degrees before any restriction."""
@@ -303,44 +308,40 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     k_report = default_k_max(nvars, d) if k_max is None else k_max
     if k_report < 0:
         raise ValueError("k_max must be nonnegative")
-    window = n + 2
-    k_top = max(k_report, T + n + 2)
+    k_top = max(k_report, T + 2)
 
     gens = jacobian_generators(f)
     scan: list[int] = []
     sections: dict[int, tuple[HomogPoly, ...]] = {}
-    method = HEURISTIC
-    for k in range(k_top + 1):
+    method = NOT_CERTIFIED
+    # past k_top only a flat tail is scanned on: Gotzmann certifies it by
+    # degree k_top + dims[k_top] + 1 unless a dim changes first
+    for k in count():
         scan.append(_quotient_dim(f, k, field))
         if _persistence_certified(scan, d):
             method = GOTZMANN
         elif _regularity_certified(gens, scan, d, field, sections):
             method = BAYER_STILLMAN
-        else:
+        elif k < k_top or scan[k] == scan[k - 1]:
             continue
+        else:
+            break
         scan += [scan[k]] * (k_top - k)
         break
-    certified = method != HEURISTIC
+    isolated = method != NOT_CERTIFIED
     dims = tuple(scan)
-    smooth = tuple(smooth_series_coeff(n, d, k) for k in range(k_top + 1))
+    smooth = tuple(smooth_series_coeff(n, d, k) for k in range(len(dims)))
 
     tail = dims[-1]
     s = len(dims) - 1
     while s > 0 and dims[s - 1] == tail:
         s -= 1
-    if certified:
-        stabilized = isolated = True
-    else:
-        stabilized = len(dims) - s >= window
-        # isolated singularities force stabilisation by T+1; a later (or
-        # absent) plateau means the singular locus is positive-dimensional
-        isolated = stabilized and s <= T + 1
     smooth_input = dims == smooth
     tau = tail if isolated else None
     st = s if isolated else None
     ct: int | None = None
     if isolated and not smooth_input:
-        first = next(k for k in range(k_top + 1) if dims[k] != smooth[k])
+        first = next(k for k in range(len(dims)) if dims[k] != smooth[k])
         ct = first - 1
     return MilnorProfile(
         nvars=nvars,
@@ -354,8 +355,6 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
         st=st,
         ct=ct,
         smooth_input=smooth_input,
-        stabilized=stabilized,
-        isolated=isolated,
         isolated_method=method,
     )
 
@@ -368,9 +367,8 @@ def _require_isolated(f: HomogPoly, field) -> MilnorProfile:
     profile = _milnor_profile(f, None, field)
     if not profile.isolated:
         raise NotStabilizedError(
-            "Milnor dimensions did not stabilize by degree "
-            f"{profile.top_degree + 1}: non-isolated singularities, "
-            "or k_max too small"
+            "Milnor dimensions not certified constant: "
+            "non-isolated singularities"
         )
     return profile
 
@@ -394,11 +392,10 @@ def coincidence_threshold(f: HomogPoly, field=QQ) -> int:
 
 
 def isolated_check(f: HomogPoly, field=QQ) -> tuple[bool, str]:
-    """Isolatedness verdict plus its method tag: a proof under GOTZMANN or
-    BAYER_STILLMAN; under HEURISTIC, True only means the dims sat constant
-    on the window past top_degree, which is necessary for isolatedness but
-    not a proof.  HEURISTIC is left for non-isolated input and for isolated
-    input over a small prime field, where every member of the ℓ_t family
-    may pass through a singular point."""
+    """Isolatedness verdict plus its method tag: True with a proof under
+    GOTZMANN or BAYER_STILLMAN, False under NOT_CERTIFIED.  Over Q every
+    isolated input is certified (_regularity_certified), so NOT_CERTIFIED
+    proves the singular locus is not finite; over GF(p) it only says that
+    no proof came up."""
     profile = _milnor_profile(f, None, field)
     return profile.isolated, profile.isolated_method

@@ -47,17 +47,16 @@ class PreconditionViolatedError(RuntimeError):
 
 
 class IdentityViolationError(RuntimeError):
-    """The definitional and closed-form routes disagree — an engine bug, or
-    a non-isolated input that slipped past the window test of an
-    uncertified Milnor profile."""
+    """The definitional and closed-form routes disagree on an input whose
+    isolatedness is proved: an engine bug."""
 
 
 def _checked_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     profile = milnor_profile(f, k_max, field)
     if not profile.isolated:
         raise PreconditionViolatedError(
-            "saturation needs stabilized Milnor dimensions "
-            "(isolatedness heuristic failed)"
+            "saturation needs certified Milnor dimensions "
+            "(isolatedness not-certified)"
         )
     return profile
 

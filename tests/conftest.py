@@ -40,5 +40,5 @@ def node_cubic(corpus_polys) -> HomogPoly:
 
 @pytest.fixture(scope="session")
 def non_isolated() -> HomogPoly:
-    # x^2*y^2 is singular along two lines; the stable-tail test must reject it.
+    # x^2*y^2 is singular along two lines; no certificate may accept it.
     return parse_poly("x^2*y^2", ("x", "y", "z"))

@@ -139,7 +139,6 @@ class TestProfile:
     def test_non_isolated_never_stabilizes(self, non_isolated):
         p = milnor_profile(non_isolated)
         assert not p.isolated
-        assert not p.stabilized
         # dims grow linearly along the singular locus
         tail = p.dims[-3:]
         assert tail[0] < tail[1] < tail[2]
@@ -149,6 +148,13 @@ class TestProfile:
         assert p.k_max == 15
         assert len(p.dims) == 16
         assert p.dims[15] == 6
+
+    def test_small_k_max_still_scans_to_t_plus_2(self, three_cusp):
+        # the scan floor is T+2, by which every isolated input over Q is
+        # certified; the report range stays k_max
+        p = milnor_profile(three_cusp, 2)
+        assert (p.k_max, p.computed_max) == (2, p.top_degree + 2)
+        assert (p.tau, p.st, p.isolated_method) == (6, 4, "bayer-stillman")
 
     def test_profile_k_max_defaults(self, three_cusp):
         p = milnor_profile(three_cusp)
@@ -188,7 +194,7 @@ class TestOps:
         ok, method = isolated_check(three_cusp)
         assert ok and method == "bayer-stillman"
         bad, method2 = isolated_check(non_isolated)
-        assert not bad and method2 == "heuristic-window"
+        assert not bad and method2 == "not-certified"
 
     def test_top_degree_values(self):
         assert top_degree(3, 4) == 6
@@ -221,34 +227,54 @@ BAYER_STILLMAN = {
     "binomial-2-3-5",
     *EXTRA,
 }
+EXACT_INPUTS = [e.name for e in CORPUS] + [f"dense-{seed}" for seed in range(10)] + list(EXTRA)
+# six lines with tau = 21 over GF(3); mod 5, x - 2*y - 3*z = x + 3*y + 2*z
+SIX_LINES_MOD_P = "x*y*z*(x - 2*y - 3*z)*(x - y - z)*(x + 3*y + 2*z)"
+
+
+def _exact_input(name, corpus_polys):
+    if name.startswith("dense-"):
+        # seeded dense ternary forms of degree 3, 4, 5 in turn
+        seed = int(name[len("dense-"):])
+        return random_dense_homogeneous(random.Random(seed), 3, 3 + seed % 3)
+    if name in EXTRA:
+        return parse_poly(EXTRA[name], XYZ)
+    return corpus_polys[name]
 
 
 class TestCertificate:
     """The scan stops at a plateau proved by Gotzmann persistence or by
     Bayer–Stillman and fills the rest of the range from it; inputs without
-    a certificate keep the window test."""
+    a certificate are tagged not-certified."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [e.name for e in CORPUS] + [f"dense-{seed}" for seed in range(10)] + list(EXTRA),
-    )
+    @pytest.mark.parametrize("name", EXACT_INPUTS)
     def test_filled_tail_matches_direct_rank(self, name, corpus_polys):
-        if name.startswith("dense-"):
-            # seeded dense ternary forms of degree 3, 4, 5 in turn
-            seed = int(name[len("dense-"):])
-            f = random_dense_homogeneous(random.Random(seed), 3, 3 + seed % 3)
-        elif name in EXTRA:
-            f = parse_poly(EXTRA[name], XYZ)
-        else:
-            f = corpus_polys[name]
+        f = _exact_input(name, corpus_polys)
         p = milnor_profile(f)
         expected = "bayer-stillman" if name in BAYER_STILLMAN else "gotzmann-persistence"
         assert p.isolated_method == expected
-        assert p.computed_max == max(
-            default_k_max(f.nvars, f.degree), p.top_degree + p.n + 2
-        )
+        assert p.computed_max == max(default_k_max(f.nvars, f.degree), p.top_degree + 2)
         for k in range(p.computed_max + 1):
             assert p.dims[k] == _direct_milnor_dim(f, k), (name, k)
+
+    @pytest.mark.parametrize("name", EXACT_INPUTS)
+    def test_isolated_input_over_q_is_certified_by_t_plus_2(
+        self, name, corpus_polys, monkeypatch
+    ):
+        # over Q not-certified is a proof of non-isolatedness only because
+        # every isolated input is certified by degree T+2
+        f = _exact_input(name, corpus_polys)
+        degrees = []
+        real = milnor_module._quotient_dim
+        monkeypatch.setattr(
+            milnor_module,
+            "_quotient_dim",
+            lambda g, k, field: degrees.append(k) or real(g, k, field),
+        )
+        graded_module.form_table.cache_clear()
+        p = milnor_profile(f)
+        assert p.isolated
+        assert max(degrees) <= p.top_degree + 2
 
     def test_no_slice_past_the_certificate(self, three_cusp):
         # the scan stops at m + 1 with m = st, and the checks stop below the
@@ -296,9 +322,9 @@ class TestCertificate:
             ("x^2*y^2", None, None, EXIT_NON_ISOLATED),
         ],
     )
-    def test_uncertified_inputs_keep_the_window_test(self, poly, tau, st, exit_code, capsys):
+    def test_uncertified_inputs_are_not_isolated(self, poly, tau, st, exit_code, capsys):
         p = milnor_profile(parse_poly(poly, XYZ))
-        assert p.isolated_method == "heuristic-window"
+        assert p.isolated_method == "not-certified"
         assert (p.tau, p.st, p.isolated) == (tau, st, tau is not None)
         assert main(["analyze", "--poly", poly]) == exit_code
         capsys.readouterr()
@@ -316,14 +342,29 @@ class TestCertificate:
         assert not certified
         assert sections == {}
 
-    def test_small_field_keeps_the_window_test(self):
+    def test_small_field_flat_tail_is_certified_by_gotzmann(self):
         # over GF(3) this arrangement has tau = 21 and none of the three
-        # members of the family certifies it; the window still finds it
-        # isolated
-        f = parse_poly("x*y*z*(x - 2*y - 3*z)*(x - y - z)*(x + 3*y + 2*z)", XYZ)
-        p = milnor_profile(f, field=PrimeField(3))
-        assert p.isolated_method == "heuristic-window"
+        # members of the family certifies it; its tail is flat at k_top = 20,
+        # so the scan runs on until Gotzmann holds at k - 1 = tau
+        field = PrimeField(3)
+        f = parse_poly(SIX_LINES_MOD_P, XYZ)
+        p = milnor_profile(f, field=field)
+        assert p.isolated_method == "gotzmann-persistence"
         assert (p.tau, p.isolated) == (21, True)
+        assert p.computed_max == 22
+        gens = jacobian_generators(f)
+        for k in (21, 22):
+            assert p.dims[k] == space_dim(3, k) - slice_dim(gens, k, field), k
+
+    def test_small_field_moving_tail_is_not_certified(self):
+        # mod 5 two of these lines coincide, so the dims still rise at
+        # k_top and the scan stops there
+        f = parse_poly(SIX_LINES_MOD_P, XYZ)
+        p = milnor_profile(f, field=PrimeField(5))
+        k_top = default_k_max(3, 6)
+        assert p.isolated_method == "not-certified" and not p.isolated
+        assert p.computed_max == k_top
+        assert p.dims[k_top - 1] < p.dims[k_top]
 
 
 class TestScreen:
