@@ -31,18 +31,11 @@ from .graded import (
 from .linalg import AmbientMismatchError, ExactMatrix, Subspace, kernel, rank, rref
 from .milnor import (
     MilnorProfile,
-    NotStabilizedError,
-    SmoothInputError,
-    coincidence_threshold,
-    isolated_check,
-    jacobian_generators,
     milnor_dim,
     milnor_profile,
     smooth_series_coeff,
     quotient_series_coeff,
-    stability_threshold,
     top_degree,
-    total_tjurina,
 )
 from .poly import (
     HomogPoly,
@@ -50,21 +43,15 @@ from .poly import (
     ParseError,
     PolyError,
     ZeroPolynomialError,
-    euler_check,
+    euler_mismatches,
     parse_poly,
     partial_derivatives,
 )
 from .saturation import (
-    IdentityViolationError,
     PreconditionViolatedError,
     SaturationProfile,
-    a_invariant,
-    cm_regularity,
-    defect,
     saturation_profile,
     saturation_slice,
-    sat_threshold,
-    sd_dims,
 )
 from .syzygy import (
     SyzygyProfile,
@@ -72,7 +59,6 @@ from .syzygy import (
     er_dim,
     koszul_cohomology_dim,
     kr_dim,
-    minimal_relation_degree,
     syzygy_profile,
 )
 

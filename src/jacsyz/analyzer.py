@@ -16,14 +16,14 @@ from typing import Any, Sequence
 from .corpus import CORPUS, CorpusEntry
 from .fields import QQ
 from .graded import ideal_slice, space_dim
-from .milnor import (
-    MilnorProfile,
-    jacobian_generators,
-    milnor_profile,
-    quotient_series_coeff,
+from .milnor import MilnorProfile, milnor_profile, quotient_series_coeff
+from .poly import HomogPoly, euler_mismatches, parse_poly, partial_derivatives
+from .saturation import (
+    SaturationProfile,
+    agreement_bound,
+    saturation_profile,
+    saturation_slice,
 )
-from .poly import HomogPoly, euler_check, parse_poly
-from .saturation import SaturationProfile, saturation_profile, saturation_slice
 from .syzygy import SyzygyProfile, koszul_cohomology_dim, syzygy_profile
 
 __all__ = [
@@ -225,22 +225,9 @@ def _na_check(name: str) -> CheckRow:
     return CheckRow(name, None, None, None)
 
 
-def _euler_mismatches(f: HomogPoly) -> int:
-    if euler_check(f):
-        return 0
-    # count differing coefficients so the report says how badly it failed
-    total = f.scaled(f.degree)
-    acc = HomogPoly.zero(f.nvars, f.degree)
-    for i, fi in enumerate(jacobian_generators(f)):
-        xi = HomogPoly(f.nvars, 1, {tuple(1 if j == i else 0 for j in range(f.nvars)): 1})
-        acc = acc + xi * fi
-    diff = acc - total
-    return len(diff.terms)
-
-
 def _common_checks(f: HomogPoly, mp: MilnorProfile) -> list[CheckRow]:
     d, T = mp.d, mp.top_degree
-    checks = [_count_check("euler_identity", _euler_mismatches(f))]
+    checks = [_count_check("euler_identity", euler_mismatches(f))]
     low = sum(
         1 for k in range(min(d - 1, mp.computed_max + 1))
         if mp.dims[k] != space_dim(mp.nvars, k)
@@ -299,9 +286,8 @@ def _full_checks(
     else:
         checks.append(_na_check("smooth_relations_all_koszul"))
 
-    # J_k = Ĵ_k from this degree on (the saturation agreement bound)
-    bound = mp.st if smooth else max(T - mp.ct, mp.st)
-    gens = jacobian_generators(f)
+    bound = agreement_bound(mp)
+    gens = partial_derivatives(f)
     outside = 0
     # at and above the bound saturation_slice is J_k itself, so the row
     # would compare J_k with J_k: only lower degrees are swept
@@ -478,7 +464,7 @@ def analyze(
         )
         lost = [
             f"df/d{name}"
-            for name, g in zip(names, jacobian_generators(f))
+            for name, g in zip(names, partial_derivatives(f))
             if not g.is_zero and not any(field.convert(c) for c in g.terms.values())
         ]
         if lost:

@@ -90,10 +90,6 @@ class RationalField:
         value = Fraction(value)
         return value.numerator if value.denominator == 1 else value
 
-    @staticmethod
-    def neg(a):
-        return -a
-
     def __repr__(self) -> str:
         return "QQ"
 
@@ -126,9 +122,6 @@ class PrimeField:
                 f"coefficient denominator {frac.denominator} vanishes mod {self.p}"
             )
         return frac.numerator * pow(den, self.p - 2, self.p) % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

@@ -330,7 +330,8 @@ class Subspace:
         """Residual of the vector after sweeping out all basis components.
         Over Q the sweep is fraction-free (pivot·v − c·row, content
         stripped), so the result is a nonzero integer multiple of the
-        residual: zero exactly when the vector lies in the subspace."""
+        residual: zero exactly when the vector lies in the subspace.  Mod p
+        each entry is first converted into the field, a Fraction included."""
         v = list(vector)
         if len(v) != self.ambient_dim:
             raise AmbientMismatchError(
@@ -339,8 +340,7 @@ class Subspace:
         if self.dim == self.ambient_dim:
             return [self.field.zero] * self.ambient_dim
         q = self.field.characteristic
-        if not q:
-            v = _row_to_int(v)
+        v = [self.field.convert(a) for a in v] if q else _row_to_int(v)
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if not c:

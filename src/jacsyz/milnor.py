@@ -34,31 +34,14 @@ from .linalg import Echelon
 from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
-    "NotStabilizedError",
-    "SmoothInputError",
     "top_degree",
     "default_k_max",
     "smooth_series_coeff",
     "quotient_series_coeff",
-    "jacobian_generators",
     "milnor_dim",
     "MilnorProfile",
     "milnor_profile",
-    "total_tjurina",
-    "stability_threshold",
-    "coincidence_threshold",
-    "isolated_check",
 ]
-
-
-class NotStabilizedError(RuntimeError):
-    """No certificate proves that the Milnor dimensions settle; over Q that
-    proves the singularities are not isolated."""
-
-
-class SmoothInputError(ValueError):
-    """The requested invariant is undefined for a smooth hypersurface."""
-
 
 # isolated_method tags: two proofs of the constant tail, or neither
 GOTZMANN = "gotzmann-persistence"
@@ -115,11 +98,6 @@ def quotient_series_coeff(gen_degrees: Sequence[int], nvars: int, k: int) -> int
     )
 
 
-def jacobian_generators(f: HomogPoly) -> tuple[HomogPoly, ...]:
-    """The n+1 first partials of f, zero partials included in place."""
-    return partial_derivatives(f)
-
-
 def _quotient_dim(f: HomogPoly, k: int, field) -> int:
     """dim M(f)_k over `field`, from one rank of the degree-k Jacobian slice.
 
@@ -143,7 +121,7 @@ def _quotient_dim(f: HomogPoly, k: int, field) -> int:
     computed directly.  A zero partial makes f a cone, singular at its
     vertex, and such an f is not screened either.  Over GF(p) the slice
     rank is used as it is."""
-    gens = jacobian_generators(f)
+    gens = partial_derivatives(f)
     nvars, d = f.nvars, f.degree
     if field.characteristic == 0 and k >= 2 * (d - 1) and not any(g.is_zero for g in gens):
         smooth = smooth_series_coeff(nvars - 1, d, k)
@@ -196,6 +174,10 @@ class MilnorProfile:
 
     @property
     def isolated(self) -> bool:
+        """True with a proof, under GOTZMANN or BAYER_STILLMAN; False under
+        NOT_CERTIFIED.  Over Q every isolated input is certified
+        (_regularity_certified), so NOT_CERTIFIED proves the singular locus
+        is not finite; over GF(p) it only says that no proof came up."""
         return self.isolated_method != NOT_CERTIFIED
 
     @property
@@ -310,7 +292,7 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
         raise ValueError("k_max must be nonnegative")
     k_top = max(k_report, T + 2)
 
-    gens = jacobian_generators(f)
+    gens = partial_derivatives(f)
     scan: list[int] = []
     sections: dict[int, tuple[HomogPoly, ...]] = {}
     method = NOT_CERTIFIED
@@ -361,41 +343,3 @@ def _milnor_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
 
 def milnor_profile(f: HomogPoly, k_max: int | None = None, field=QQ) -> MilnorProfile:
     return _milnor_profile(f, k_max, field)
-
-
-def _require_isolated(f: HomogPoly, field) -> MilnorProfile:
-    profile = _milnor_profile(f, None, field)
-    if not profile.isolated:
-        raise NotStabilizedError(
-            "Milnor dimensions not certified constant: "
-            "non-isolated singularities"
-        )
-    return profile
-
-
-def total_tjurina(f: HomogPoly, field=QQ) -> int:
-    """Stable value of dim M(f)_k; 0 exactly for smooth f."""
-    return _require_isolated(f, field).tau
-
-
-def stability_threshold(f: HomogPoly, field=QQ) -> int:
-    """Least q with dim M(f)_k = τ for all k ≥ q."""
-    return _require_isolated(f, field).st
-
-
-def coincidence_threshold(f: HomogPoly, field=QQ) -> int:
-    """Largest q with dim M(f)_k matching the smooth series for all k ≤ q."""
-    profile = _require_isolated(f, field)
-    if profile.smooth_input:
-        raise SmoothInputError("coincidence threshold is undefined for smooth input")
-    return profile.ct
-
-
-def isolated_check(f: HomogPoly, field=QQ) -> tuple[bool, str]:
-    """Isolatedness verdict plus its method tag: True with a proof under
-    GOTZMANN or BAYER_STILLMAN, False under NOT_CERTIFIED.  Over Q every
-    isolated input is certified (_regularity_certified), so NOT_CERTIFIED
-    proves the singular locus is not finite; over GF(p) it only says that
-    no proof came up."""
-    profile = _milnor_profile(f, None, field)
-    return profile.isolated, profile.isolated_method

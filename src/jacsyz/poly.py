@@ -22,7 +22,7 @@ __all__ = [
     "ZeroPolynomialError",
     "parse_poly",
     "partial_derivatives",
-    "euler_check",
+    "euler_mismatches",
     "permute_variables",
     "monomial_text",
 ]
@@ -213,18 +213,18 @@ def partial_derivatives(f: HomogPoly) -> tuple[HomogPoly, ...]:
     return f._partials
 
 
-def euler_check(f: HomogPoly) -> bool:
-    """Verify sum_i x_i * df/dx_i == deg(f) * f, an identity of calculus
-    that doubles as a self-test of the term arithmetic."""
+def euler_mismatches(f: HomogPoly) -> int:
+    """Number of coefficients where sum_i x_i * df/dx_i and deg(f) * f
+    differ: 0 when Euler's identity holds.  The identity is one of calculus,
+    so this doubles as a self-test of the term arithmetic."""
     if f.degree < 1:
-        return True
-    acc: dict[Exps, Fraction] = {}
+        return 0
+    acc: dict[Exps, Fraction] = {e: -c * f.degree for e, c in f.terms.items()}
     for i, fi in enumerate(partial_derivatives(f)):
         for exps, coeff in fi.terms.items():
             raised = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
             acc[raised] = acc.get(raised, Fraction(0)) + coeff
-    expected = {e: c * f.degree for e, c in f.terms.items()}
-    return {e: c for e, c in acc.items() if c} == expected
+    return sum(1 for c in acc.values() if c)
 
 
 def permute_variables(f: HomogPoly, perm: Sequence[int]) -> HomogPoly:

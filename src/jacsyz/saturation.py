@@ -12,8 +12,8 @@ algebra as everything else.
 
 The a-invariant and the regularity each have a definitional route (through
 defects and SD dimensions, with the degree −1 defect equal to τ) and a
-closed-form route (through ct and sat); both are stored, and the accessor
-functions raise if they ever disagree.
+closed-form route (through ct and sat); both are stored, and the analyzer's
+check rows fail if they ever disagree.
 """
 
 from __future__ import annotations
@@ -25,30 +25,19 @@ from .fields import QQ
 # by module attribute
 from .graded import basis_index, ideal_slice, monomial_basis, per_form, slice_dim, space_dim
 from .linalg import ExactMatrix, Subspace, kernel
-from .milnor import MilnorProfile, jacobian_generators, milnor_dim, milnor_profile, top_degree
-from .poly import HomogPoly
+from .milnor import MilnorProfile, milnor_dim, milnor_profile
+from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
     "PreconditionViolatedError",
-    "IdentityViolationError",
     "saturation_slice",
     "SaturationProfile",
     "saturation_profile",
-    "sd_dims",
-    "sat_threshold",
-    "defect",
-    "a_invariant",
-    "cm_regularity",
 ]
 
 
 class PreconditionViolatedError(RuntimeError):
     """Saturation was requested without a passing isolatedness check."""
-
-
-class IdentityViolationError(RuntimeError):
-    """The definitional and closed-form routes disagree on an input whose
-    isolatedness is proved: an engine bug."""
 
 
 def _checked_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
@@ -61,8 +50,8 @@ def _checked_profile(f: HomogPoly, k_max: int | None, field) -> MilnorProfile:
     return profile
 
 
-def _agreement_bound(profile: MilnorProfile) -> int:
-    # degree from which J_k = Ĵ_k is guaranteed
+def agreement_bound(profile: MilnorProfile) -> int:
+    """Degree from which J_k = Ĵ_k is guaranteed."""
     if profile.smooth_input:
         return profile.st
     return max(profile.top_degree - profile.ct, profile.st)
@@ -72,8 +61,8 @@ def _agreement_bound(profile: MilnorProfile) -> int:
 def _saturation_slice(f: HomogPoly, k: int, field) -> Subspace:
     profile = _checked_profile(f, None, field)
     nvars = f.nvars
-    gens = jacobian_generators(f)
-    bound = _agreement_bound(profile)
+    gens = partial_derivatives(f)
+    bound = agreement_bound(profile)
     if k >= bound:
         return ideal_slice(gens, k, field)
     N = bound - k
@@ -129,7 +118,7 @@ def _saturation_profile(f: HomogPoly, k_max: int | None, field) -> SaturationPro
     nvars = f.nvars
     T = profile.top_degree
     tau = profile.tau
-    bound = _agreement_bound(profile)
+    bound = agreement_bound(profile)
     k_top = max(profile.k_max, bound, T)
 
     j_dims = [space_dim(nvars, k) - milnor_dim(f, k, field) for k in range(k_top + 1)]
@@ -184,48 +173,3 @@ def _saturation_profile(f: HomogPoly, k_max: int | None, field) -> SaturationPro
 
 def saturation_profile(f: HomogPoly, k_max: int | None = None, field=QQ) -> SaturationProfile:
     return _saturation_profile(f, k_max, field)
-
-
-def sd_dims(f: HomogPoly, field=QQ) -> tuple[int, ...]:
-    """Degree-wise dimensions of Ĵ/J out to the reporting range."""
-    return _saturation_profile(f, None, field).sd_dims
-
-
-def sat_threshold(f: HomogPoly, field=QQ) -> int:
-    """Least q with Ĵ_k = J_k for all k ≥ q; 0 when J is saturated."""
-    return _saturation_profile(f, None, field).sat
-
-
-def defect(f: HomogPoly, k: int, field=QQ) -> int:
-    """τ minus the codimension of Ĵ_k in S_k."""
-    p = _saturation_profile(f, None, field)
-    if k < 0:
-        return p.tau
-    if k <= p.k_max:
-        return p.defects[k]
-    return p.tau - milnor_dim(f, k, field)
-
-
-def a_invariant(f: HomogPoly, field=QQ) -> int | None:
-    """Top degree with a nonzero defect (−1 when only the τ-defect at degree
-    −1 survives); None for smooth input.  Raises if the closed form T−ct−1
-    disagrees with the definitional value."""
-    p = _saturation_profile(f, None, field)
-    if p.a_invariant_closed is not None and p.a_invariant != p.a_invariant_closed:
-        raise IdentityViolationError(
-            f"a-invariant routes disagree: computed {p.a_invariant}, "
-            f"closed form {p.a_invariant_closed}"
-        )
-    return p.a_invariant
-
-
-def cm_regularity(f: HomogPoly, field=QQ) -> int:
-    """max(top nonzero SD degree, a-invariant + 1), checked against the
-    closed form max(T−ct, sat−1) for non-smooth input."""
-    p = _saturation_profile(f, None, field)
-    if p.regularity_closed is not None and p.regularity != p.regularity_closed:
-        raise IdentityViolationError(
-            f"regularity routes disagree: computed {p.regularity}, "
-            f"closed form {p.regularity_closed}"
-        )
-    return p.regularity

@@ -11,15 +11,14 @@ one of the package's central self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .fields import QQ
 # slice_dim is unused here but stays importable: perfbench/spans.py wraps it
 # by module attribute
-from .graded import basis_index, monomial_basis, per_form, slice_dim, space_dim
+from .graded import multiplication_matrix, per_form, slice_dim, space_dim
 from .linalg import ExactMatrix, rank
-from .milnor import jacobian_generators, milnor_dim, smooth_series_coeff, top_degree
-from .poly import HomogPoly
+from .milnor import milnor_dim, smooth_series_coeff, top_degree
+from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
     "ar_dim",
@@ -27,7 +26,6 @@ __all__ = [
     "koszul_relation_vectors",
     "er_dim",
     "koszul_cohomology_dim",
-    "minimal_relation_degree",
     "SyzygyProfile",
     "syzygy_profile",
 ]
@@ -51,26 +49,21 @@ def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     nvars = f.nvars
     if m < d - 1:
         return []
-    gens = jacobian_generators(f)
-    index = basis_index(nvars, m)
-    sdim = len(index)
-    # over Q one common factor clears every denominator: scaling all the
-    # partials alike keeps each vector a relation among them
-    scale = 1 if field.characteristic else lcm(*(c.denominator for c in f.terms.values()))
-    converted = [
-        [(e, field.convert(c * scale)) for e, c in g.terms.items()] for g in gens
-    ]
+    # over Q the primitive form's partials are f's times one common factor:
+    # every entry is an int and each vector is still a relation among f's
+    gens = partial_derivatives(f.primitive() if field.characteristic == 0 else f)
+    # generator-major: block k holds the rows b·f_k, b in monomial order
+    rows = multiplication_matrix(gens, m, field).transpose().rows
+    nb = space_dim(nvars, m - (d - 1))
+    blocks = [rows[k * nb : (k + 1) * nb] for k in range(nvars)]
+    sdim = space_dim(nvars, m)
     vectors = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            for b in monomial_basis(nvars, m - (d - 1)):
+            for fj_b, fi_b in zip(blocks[j], blocks[i]):
                 v = [field.zero] * (nvars * sdim)
-                for e, c in converted[j]:
-                    pos = i * sdim + index[tuple(a + x for a, x in zip(b, e))]
-                    v[pos] = c
-                for e, c in converted[i]:
-                    pos = j * sdim + index[tuple(a + x for a, x in zip(b, e))]
-                    v[pos] = field.neg(c)
+                v[i * sdim : (i + 1) * sdim] = fj_b
+                v[j * sdim : (j + 1) * sdim] = [field.convert(-c) for c in fi_b]
                 vectors.append(v)
     return vectors
 
@@ -101,12 +94,6 @@ def koszul_cohomology_dim(f: HomogPoly, j: int, field=QQ) -> int:
     if k < 0:
         return 0
     return milnor_dim(f, k, field) - smooth_series_coeff(n, f.degree, k)
-
-
-def minimal_relation_degree(f: HomogPoly, field=QQ) -> int | None:
-    """Least m with an essential relation; None when no degree up to
-    top_degree has one (for isolated singularities that means f is smooth)."""
-    return syzygy_profile(f, None, field).mdr
 
 
 @dataclass(frozen=True)

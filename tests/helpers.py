@@ -3,15 +3,19 @@
 `naive_rref` is a deliberately boring textbook Gauss-Jordan over `Fraction`
 (or over GF(p) on int residues when a prime is given), kept independent of
 the package's elimination code so the two can be checked against each other.
+`koszul_relation_vectors_reference` places each Koszul relation's monomials
+by hand, independently of `graded.multiplication_matrix`, which the package's
+own builder reuses.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from jacsyz.graded import monomial_basis
-from jacsyz.poly import HomogPoly
+from jacsyz.graded import basis_index, monomial_basis
+from jacsyz.poly import HomogPoly, partial_derivatives
 
 
 def naive_rref(
@@ -67,3 +71,30 @@ def random_matrix(
     return [
         [Fraction(rng.randint(lo, hi)) for _ in range(ncols)] for _ in range(nrows)
     ]
+
+
+def koszul_relation_vectors_reference(f: HomogPoly, m: int, field) -> list[list]:
+    """The degree-m Koszul relations b·(f_j e_i − f_i e_j) in the block
+    coordinates of syzygy.koszul_relation_vectors, each monomial placed by
+    hand.  Over Q the partials are scaled by the lcm of f's denominators."""
+    d, nvars = f.degree, f.nvars
+    if m < d - 1:
+        return []
+    index = basis_index(nvars, m)
+    sdim = len(index)
+    scale = 1 if field.characteristic else lcm(*(c.denominator for c in f.terms.values()))
+    converted = [
+        [(e, field.convert(c * scale)) for e, c in g.terms.items()]
+        for g in partial_derivatives(f)
+    ]
+    vectors = []
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            for b in monomial_basis(nvars, m - (d - 1)):
+                v = [field.zero] * (nvars * sdim)
+                for e, c in converted[j]:
+                    v[i * sdim + index[tuple(a + x for a, x in zip(b, e))]] = c
+                for e, c in converted[i]:
+                    v[j * sdim + index[tuple(a + x for a, x in zip(b, e))]] = field.convert(-c)
+                vectors.append(v)
+    return vectors

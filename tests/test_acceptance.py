@@ -12,20 +12,14 @@ from jacsyz.analyzer import analyze
 from jacsyz.corpus import CORPUS
 from jacsyz.graded import space_dim
 from jacsyz.milnor import (
-    isolated_check,
     milnor_profile,
     quotient_series_coeff,
     smooth_series_coeff,
     top_degree,
 )
-from jacsyz.poly import euler_check, parse_poly
+from jacsyz.poly import euler_mismatches, parse_poly
 from jacsyz.saturation import saturation_profile
-from jacsyz.syzygy import (
-    er_dim,
-    koszul_cohomology_dim,
-    minimal_relation_degree,
-    syzygy_profile,
-)
+from jacsyz.syzygy import er_dim, koszul_cohomology_dim, syzygy_profile
 
 from helpers import random_dense_homogeneous
 
@@ -118,7 +112,7 @@ def test_criterion_4_binomial_family_thresholds():
         f = parse_poly(f"x^{p}*y^{q} + z^{dz}", ("x", "y", "z"))
         d = f.degree
         mp = milnor_profile(f)
-        mdr = minimal_relation_degree(f)
+        mdr = syzygy_profile(f).mdr
         if mdr != 1:
             bad.append(f"({p},{q},{dz}) mdr {mdr}")
         if mp.ct != d - 1:
@@ -151,7 +145,7 @@ def test_criterion_6_closed_form_identities():
         mp = milnor_profile(f)
         sp = saturation_profile(f)
         T, d = mp.top_degree, mp.d
-        mdr = minimal_relation_degree(f)
+        mdr = syzygy_profile(f).mdr
         if mp.ct != mdr + d - 2:
             bad.append(f"{name}: ct {mp.ct} != mdr+d-2 {mdr + d - 2}")
         if sp.a_invariant != T - mp.ct - 1:
@@ -201,12 +195,11 @@ def test_criterion_8_random_dense_forms():
         for trial in range(count):
             f = random_dense_homogeneous(rng, 3, d)
             tag = f"d={d} trial={trial}"
-            if not euler_check(f):
+            if euler_mismatches(f):
                 bad.append(f"{tag}: euler identity")
                 continue
             mp = milnor_profile(f, T + 4)
-            ok, _ = isolated_check(f)
-            if ok and mp.tau == 0:
+            if mp.isolated and mp.tau == 0:
                 if mp.dims != mp.smooth_dims:
                     bad.append(f"{tag}: dims differ from smooth closed form")
                 for m in range(2 * (d - 2) + 3):

@@ -241,3 +241,13 @@ class TestSubspace:
         s = Subspace.from_vectors([[1, 2, 3], [4, 5, 6]], 3, field)
         assert s.dim == 2
         assert s.contains([5, 7, 9])
+
+    def test_reduce_mod_p_converts_fractions(self):
+        # 1/3 ≡ 2 and 7/3 ≡ 4 in GF(5): the vector is twice (1, 2), the same
+        # line from_vectors builds from it
+        field = PrimeField(5)
+        s = Subspace.from_vectors([[1, 2]], 2, field)
+        v = [Fraction(1, 3), Fraction(7, 3)]
+        assert Subspace.from_vectors([v], 2, field) == s
+        assert s.contains(v)
+        assert s.reduce(v) == [0, 0]

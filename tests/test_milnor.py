@@ -14,21 +14,14 @@ from jacsyz.corpus import CORPUS
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import slice_dim, space_dim
 from jacsyz.milnor import (
-    NotStabilizedError,
-    SmoothInputError,
-    coincidence_threshold,
     default_k_max,
-    isolated_check,
-    jacobian_generators,
     milnor_dim,
     milnor_profile,
     quotient_series_coeff,
     smooth_series_coeff,
-    stability_threshold,
     top_degree,
-    total_tjurina,
 )
-from jacsyz.poly import parse_poly
+from jacsyz.poly import parse_poly, partial_derivatives
 
 XYZ = ("x", "y", "z")
 
@@ -173,28 +166,25 @@ class TestProfile:
 
 class TestOps:
     def test_total_tjurina(self, three_cusp, fermat_quartic):
-        assert total_tjurina(three_cusp) == 6
-        assert total_tjurina(fermat_quartic) == 0
+        assert milnor_profile(three_cusp).tau == 6
+        assert milnor_profile(fermat_quartic).tau == 0
 
     def test_thresholds(self, three_cusp):
-        assert stability_threshold(three_cusp) == 4
-        assert coincidence_threshold(three_cusp) == 4
+        p = milnor_profile(three_cusp)
+        assert (p.st, p.ct) == (4, 4)
 
     def test_coincidence_undefined_for_smooth(self, fermat_quartic):
-        with pytest.raises(SmoothInputError):
-            coincidence_threshold(fermat_quartic)
+        assert milnor_profile(fermat_quartic).ct is None
 
     def test_ops_reject_non_isolated(self, non_isolated):
-        with pytest.raises(NotStabilizedError):
-            total_tjurina(non_isolated)
-        with pytest.raises(NotStabilizedError):
-            stability_threshold(non_isolated)
+        p = milnor_profile(non_isolated)
+        assert (p.tau, p.st, p.ct) == (None, None, None)
 
     def test_isolated_check_tags(self, three_cusp, non_isolated):
-        ok, method = isolated_check(three_cusp)
-        assert ok and method == "bayer-stillman"
-        bad, method2 = isolated_check(non_isolated)
-        assert not bad and method2 == "not-certified"
+        p = milnor_profile(three_cusp)
+        assert p.isolated and p.isolated_method == "bayer-stillman"
+        q = milnor_profile(non_isolated)
+        assert not q.isolated and q.isolated_method == "not-certified"
 
     def test_top_degree_values(self):
         assert top_degree(3, 4) == 6
@@ -203,12 +193,12 @@ class TestOps:
 
 
 def _direct_milnor_dim(f, k):
-    return space_dim(f.nvars, k) - slice_dim(jacobian_generators(f), k)
+    return space_dim(f.nvars, k) - slice_dim(partial_derivatives(f), k)
 
 
 def _slice_degrees(f):
     # degrees of the Jacobian slices built so far for f over Q
-    table = graded_module.form_table(jacobian_generators(f), QQ)
+    table = graded_module.form_table(partial_derivatives(f), QQ)
     return [k for k in table if isinstance(k, int)]
 
 
@@ -308,7 +298,7 @@ class TestCertificate:
         p = milnor_profile(f)
         assert p.isolated_method == "bayer-stillman"
         assert max(_slice_degrees(f)) == 5  # certified at m = 4
-        gens = jacobian_generators(f)
+        gens = partial_derivatives(f)
         spans = {}
         for t in (1, 2):
             restricted = [milnor_module._on_hyperplane(g, t) for g in gens]
@@ -337,7 +327,7 @@ class TestCertificate:
         assert p.dims[14] < p.dims[15] == p.dims[16]
         sections = {}
         certified = milnor_module._regularity_certified(
-            jacobian_generators(f), list(p.dims[:17]), f.degree, QQ, sections
+            partial_derivatives(f), list(p.dims[:17]), f.degree, QQ, sections
         )
         assert not certified
         assert sections == {}
@@ -352,7 +342,7 @@ class TestCertificate:
         assert p.isolated_method == "gotzmann-persistence"
         assert (p.tau, p.isolated) == (21, True)
         assert p.computed_max == 22
-        gens = jacobian_generators(f)
+        gens = partial_derivatives(f)
         for k in (21, 22):
             assert p.dims[k] == space_dim(3, k) - slice_dim(gens, k, field), k
 
@@ -392,7 +382,7 @@ class TestScreen:
         # smooth over Q, but z^5 vanishes mod 32003 and the screen sees
         # rank 65 < 66 in degree 10
         f = parse_poly(SCREEN_SHORTFALL, XYZ)
-        gens = jacobian_generators(f)
+        gens = partial_derivatives(f)
         graded_module.form_table.cache_clear()
         p = milnor_profile(f)
         assert [k for k in _slice_degrees(f) if k >= 8] == [10]
@@ -406,5 +396,5 @@ class TestScreen:
         field = PrimeField(2147483647)
         graded_module.form_table.cache_clear()
         milnor_profile(f, field=field)
-        table = graded_module.form_table(jacobian_generators(f), field)
+        table = graded_module.form_table(partial_derivatives(f), field)
         assert {8, 9, 10} <= set(table)

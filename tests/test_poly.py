@@ -9,7 +9,7 @@ from jacsyz.poly import (
     NotHomogeneousError,
     ParseError,
     ZeroPolynomialError,
-    euler_check,
+    euler_mismatches,
     parse_poly,
     partial_derivatives,
     permute_variables,
@@ -172,14 +172,25 @@ class TestDerivatives:
 
     def test_euler_identity_on_corpus(self, corpus_polys):
         for name, f in corpus_polys.items():
-            assert euler_check(f), name
+            assert euler_mismatches(f) == 0, name
 
     def test_euler_identity_fails_off_grading(self):
-        # euler_check multiplies by the declared degree, so feeding a poly
+        # euler_mismatches multiplies by the declared degree, so feeding a poly
         # whose terms were built by hand with the wrong degree must fail.
         f = HomogPoly(2, 2, {(2, 0): Fraction(1)})
         g = HomogPoly(2, 2, {(1, 1): Fraction(1)})
-        assert euler_check(f + g)
+        assert euler_mismatches(f + g) == 0
+
+    def test_euler_mismatches_counts_coefficients(self):
+        # f = x^2 + 2xy with wrong cached partials (2x, 2y): x*2x + y*2y
+        # differs from 2f in the xy and y^2 coefficients
+        f = HomogPoly(2, 2, {(2, 0): Fraction(1), (1, 1): Fraction(2)})
+        wrong = (
+            HomogPoly(2, 1, {(1, 0): Fraction(2)}),
+            HomogPoly(2, 1, {(0, 1): Fraction(2)}),
+        )
+        object.__setattr__(f, "_partials", wrong)
+        assert euler_mismatches(f) == 2
 
 
 class TestPermutation:

@@ -6,22 +6,19 @@ import functools
 
 import pytest
 
+import jacsyz.analyzer as analyzer_module
 import jacsyz.saturation as saturation_module
 from jacsyz.analyzer import analyze
+from jacsyz.cli import EXIT_CHECK_FAILED, main
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.graded import basis_index, ideal_slice, monomial_basis, space_dim
 from jacsyz.linalg import ExactMatrix, Subspace, kernel
-from jacsyz.milnor import jacobian_generators, milnor_profile
+from jacsyz.milnor import milnor_dim, milnor_profile
+from jacsyz.poly import partial_derivatives
 from jacsyz.saturation import (
-    IdentityViolationError,
     PreconditionViolatedError,
-    a_invariant,
-    cm_regularity,
-    defect,
-    sat_threshold,
     saturation_profile,
     saturation_slice,
-    sd_dims,
 )
 
 SCALARS = {
@@ -100,7 +97,7 @@ class TestProfileTables:
 class TestSlices:
     def test_saturated_ideal_not_smaller(self, corpus_polys):
         for name, f in corpus_polys.items():
-            gens = jacobian_generators(f)
+            gens = partial_derivatives(f)
             for k in range(f.degree + 3):
                 inner = ideal_slice(gens, k)
                 outer = saturation_slice(f, k)
@@ -109,7 +106,7 @@ class TestSlices:
                     assert outer.contains(v), (name, k)
 
     def test_already_saturated_ideal_unchanged(self, coordinate_triangle):
-        gens = jacobian_generators(coordinate_triangle)
+        gens = partial_derivatives(coordinate_triangle)
         for k in range(7):
             assert saturation_slice(coordinate_triangle, k).basis == (
                 ideal_slice(gens, k).basis
@@ -118,7 +115,7 @@ class TestSlices:
     def test_three_cusp_slices(self, three_cusp):
         # Ĵ picks up one extra dimension in degree 3 and matches J from
         # degree 4 on
-        gens = jacobian_generators(three_cusp)
+        gens = partial_derivatives(three_cusp)
         assert saturation_slice(three_cusp, 3).dim == 4
         assert ideal_slice(gens, 3).dim == 3
         for k in (4, 5, 6):
@@ -129,8 +126,8 @@ class TestSlices:
     def test_stacked_kernel_matches_intersection(self, corpus_polys):
         # reference route: one kernel per variable x_i, intersected pairwise
         for name, f in corpus_polys.items():
-            bound = saturation_module._agreement_bound(milnor_profile(f))
-            constraints = ideal_slice(jacobian_generators(f), bound).membership_constraints()
+            bound = saturation_module.agreement_bound(milnor_profile(f))
+            constraints = ideal_slice(partial_derivatives(f), bound).membership_constraints()
             high = basis_index(f.nvars, bound)
             for k in range(bound):
                 N = bound - k
@@ -169,52 +166,57 @@ class TestSlices:
 
 class TestOps:
     def test_sd_dims_op(self, line_plus_cubic):
-        assert sd_dims(line_plus_cubic)[:7] == (0, 1, 3, 4, 3, 1, 0)
+        assert saturation_profile(line_plus_cubic).sd_dims[:7] == (0, 1, 3, 4, 3, 1, 0)
 
     def test_sat_threshold_op(self, corpus_polys):
         for name, (sat, _, _) in SCALARS.items():
-            assert sat_threshold(corpus_polys[name]) == sat, name
+            assert saturation_profile(corpus_polys[name]).sat == sat, name
 
     def test_defect_op(self, three_cusp):
-        assert defect(three_cusp, -1) == 6
-        assert defect(three_cusp, 0) == 5
-        assert defect(three_cusp, 1) == 3
-        assert defect(three_cusp, 2) == 0
-        # beyond the reporting range the defect is read from the certified
-        # Milnor plateau and stays 0
-        assert defect(three_cusp, 40) == 0
+        p = saturation_profile(three_cusp)
+        # the degree −1 defect is τ: S and Ĵ both vanish there
+        assert p.tau == 6
+        assert p.defects[:3] == (5, 3, 0)
+        # beyond the reporting range the defect τ − dim M(f)_k is read from
+        # the certified Milnor plateau and stays 0
+        assert p.tau - milnor_dim(three_cusp, 40) == 0
 
     def test_a_invariant_and_regularity_ops(self, corpus_polys):
         for name, (_, a, reg) in SCALARS.items():
-            f = corpus_polys[name]
-            assert a_invariant(f) == a, name
-            assert cm_regularity(f) == reg, name
+            p = saturation_profile(corpus_polys[name])
+            assert p.a_invariant == a, name
+            assert p.regularity == reg, name
 
     def test_node_cubic_negative_a_invariant(self, node_cubic):
         # J and Ĵ agree in every degree >= 0 but τ = 1 > 0, so only the
         # degree −1 defect survives
         p = saturation_profile(node_cubic)
         assert all(v == 0 for v in p.defects)
-        assert a_invariant(node_cubic) == -1
+        assert p.a_invariant == -1
 
-    def test_route_disagreement_raises(self, three_cusp, monkeypatch):
+    @pytest.mark.parametrize(
+        "row, closed, value",
+        [
+            ("a_invariant_closed_form", "a_invariant_closed", "a_invariant"),
+            ("regularity_closed_form", "regularity_closed", "regularity"),
+        ],
+        ids=["a_invariant", "regularity"],
+    )
+    def test_route_disagreement_fails_report(self, three_cusp, monkeypatch, row, closed, value):
+        # a closed form off by one must surface as a failed row, a report
+        # that is not ok, and exit code 2, never as an exception
         real = saturation_profile(three_cusp)
-        doctored = dataclasses.replace(real, a_invariant_closed=real.a_invariant + 1)
-
+        doctored = dataclasses.replace(real, **{closed: getattr(real, value) + 1})
         monkeypatch.setattr(
-            saturation_module, "_saturation_profile", lambda f, k, field: doctored
+            analyzer_module, "saturation_profile", lambda f, k_max, field: doctored
         )
-        with pytest.raises(IdentityViolationError):
-            a_invariant(three_cusp)
-
-    def test_regularity_disagreement_raises(self, three_cusp, monkeypatch):
-        real = saturation_profile(three_cusp)
-        doctored = dataclasses.replace(real, regularity_closed=real.regularity + 1)
-        monkeypatch.setattr(
-            saturation_module, "_saturation_profile", lambda f, k, field: doctored
-        )
-        with pytest.raises(IdentityViolationError):
-            cm_regularity(three_cusp)
+        report = analyze(three_cusp)
+        (check,) = [c for c in report.checks if c.name == row]
+        assert check.to_json()["pass"] is False
+        assert (check.lhs, check.rhs) == (getattr(real, value), getattr(real, value) + 1)
+        assert not report.ok
+        poly = "x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*x*y*z*(x+y+z)"
+        assert main(["analyze", "--poly", poly]) == EXIT_CHECK_FAILED
 
 
 class TestStructure:

@@ -1,17 +1,22 @@
 """Graded relations among the partial derivatives, and the split into
 Koszul and essential parts."""
 
-from jacsyz.fields import QQ, PrimeField
+import random
+
+import pytest
+
+from helpers import koszul_relation_vectors_reference, random_dense_homogeneous
+from jacsyz.fields import QQ, CoefficientNotInFieldError, PrimeField, field_from_name
 from jacsyz.graded import multiplication_matrix
-from jacsyz.linalg import rank
-from jacsyz.milnor import jacobian_generators, milnor_profile, top_degree
+from jacsyz.linalg import ExactMatrix, rank
+from jacsyz.milnor import milnor_profile, top_degree
+from jacsyz.poly import parse_poly, partial_derivatives
 from jacsyz.syzygy import (
     ar_dim,
     er_dim,
     koszul_cohomology_dim,
     koszul_relation_vectors,
     kr_dim,
-    minimal_relation_degree,
     syzygy_profile,
 )
 
@@ -19,7 +24,7 @@ from jacsyz.syzygy import (
 def _relation_matrix(f, m):
     """Matrix of (a_0, ..., a_n) -> sum a_i f_i on degree-m block coordinates:
     the coefficients of a_0 in the degree-m monomial basis, then a_1, ..."""
-    return multiplication_matrix(jacobian_generators(f), m + f.degree - 1)
+    return multiplication_matrix(partial_derivatives(f), m + f.degree - 1)
 
 
 def _is_relation(matrix, v):
@@ -48,7 +53,7 @@ class TestCoordinateTriangle:
         assert kr_dim(coordinate_triangle, 1) == 0
 
     def test_mdr(self, coordinate_triangle):
-        assert minimal_relation_degree(coordinate_triangle) == 1
+        assert syzygy_profile(coordinate_triangle).mdr == 1
 
 
 class TestThreeCusp:
@@ -59,7 +64,7 @@ class TestThreeCusp:
         assert [er_dim(f, m) for m in range(7)] == [0, 0, 3, 5, 6, 6, 6]
 
     def test_mdr(self, three_cusp):
-        assert minimal_relation_degree(three_cusp) == 2
+        assert syzygy_profile(three_cusp).mdr == 2
 
 
 class TestKoszulInsideAll:
@@ -79,6 +84,35 @@ class TestKoszulInsideAll:
         d = three_cusp.degree
         assert len(koszul_relation_vectors(three_cusp, d - 1)) == 3
         assert len(koszul_relation_vectors(three_cusp, d)) == 9
+
+    @pytest.mark.parametrize("mode", ["exact", "mod:3", "mod:5", "mod:1000003"])
+    def test_kr_dim_matches_reference_builder(self, corpus_polys, mode):
+        # the hand-placed reference builder against the one built from
+        # multiplication_matrix: rational coefficients, a cone (zero ∂z), a
+        # 4-variable form and two dense seeds ride along with the corpus
+        field = field_from_name(mode)
+        rng = random.Random(18)
+        forms = dict(corpus_polys)
+        forms["rational"] = parse_poly("3/4*x^4 - 1/6*y^4 + 5/2*z^4 + 1/3*x*y*z^2", ("x", "y", "z"))
+        forms["cone"] = parse_poly("x^4 + y^4", ("x", "y", "z"))
+        forms["four-vars"] = parse_poly("x^2*y*z + y^4 + z^4 + w^4", ("x", "y", "z", "w"))
+        forms["dense-3-5"] = random_dense_homogeneous(rng, 3, 5)
+        forms["dense-4-3"] = random_dense_homogeneous(rng, 4, 3)
+        refused = set()
+        for name, f in forms.items():
+            for m in range((f.nvars - 1) * (f.degree - 2) + 3):
+                try:
+                    vectors = koszul_relation_vectors_reference(f, m, field)
+                except CoefficientNotInFieldError:
+                    # a denominator vanishes mod p: the package refuses too
+                    with pytest.raises(CoefficientNotInFieldError):
+                        kr_dim(f, m, field)
+                    refused.add(name)
+                    continue
+                expected = rank(ExactMatrix.from_rows(vectors), field) if vectors else 0
+                assert kr_dim(f, m, field) == expected, (name, m)
+        # only 1/6 and 1/3 have no image, and only in GF(3)
+        assert refused == ({"rational"} if mode == "mod:3" else set())
 
     def test_kr_below_ar_everywhere(self, corpus_polys):
         for name, f in corpus_polys.items():
@@ -133,7 +167,6 @@ class TestProfile:
         assert p.m_max == n * (d - 2) + 2
 
     def test_mdr_none_for_smooth(self, fermat_quartic):
-        assert minimal_relation_degree(fermat_quartic) is None
         assert syzygy_profile(fermat_quartic).mdr is None
 
     def test_mdr_table(self, corpus_polys):
@@ -147,7 +180,7 @@ class TestProfile:
             "one-node-cubic": 2,
         }
         for name, mdr in expected.items():
-            assert minimal_relation_degree(corpus_polys[name]) == mdr, name
+            assert syzygy_profile(corpus_polys[name]).mdr == mdr, name
 
     def test_mod_p_tables_match_exact(self, three_cusp):
         field = PrimeField(1000003)
@@ -163,5 +196,5 @@ class TestProfile:
             p = milnor_profile(f)
             if p.smooth_input:
                 continue
-            mdr = minimal_relation_degree(f)
+            mdr = syzygy_profile(f).mdr
             assert p.ct == mdr + f.degree - 2, name
