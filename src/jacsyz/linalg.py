@@ -9,9 +9,11 @@ small, with pivots chosen by minimal absolute value.  A canonical basis row
 over Q is the primitive integer multiple of its reduced-echelon row, with a
 positive pivot: that form is unique, so equal subspaces still compare equal,
 and only rref turns it into the normalised Fraction rows it documents.  The
-prime-field path is a plain Gauss-Jordan with Fermat inverses.  Both are
-split into a forward pass, which is all a rank needs, and a back-substitution
-that finishes the canonical basis from the same rows (Echelon).
+prime-field path packs each row into one int, a slot per column wide enough
+that no update carries, and updates it with one big-int multiply-add per
+pivot.  Both are split into a forward pass, which is all a rank needs, and
+a back-substitution that finishes the canonical basis from the same rows
+(Echelon).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -149,38 +152,105 @@ def _forward_int(rows: list[Sequence[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _pack(row: Sequence[int], start: int, nonzero: Sequence[int], width: int) -> int:
+    """Slots start.. of a residue row as one int, `width` bytes each, lowest
+    column lowest: a sparse row shifted in by its nonzero columns, a dense
+    one joined from bytes in C."""
+    if 8 * len(nonzero) <= len(row) - start:
+        w = 8 * width
+        return sum(row[c] << ((c - start) * w) for c in nonzero)
+    slots = map(int.to_bytes, islice(row, start, None), repeat(width), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _unpack(y: int, base: int, ncols: int, width: int, scale: int, p: int, sparse: bool):
+    """The residue row that is `scale` times y's slots mod p from column base
+    on, zero before, and its nonzero columns.  A sparse y is read slot by
+    slot from its lowest set bit, a dense one from its bytes."""
+    out = [0] * ncols
+    if not sparse:
+        data = y.to_bytes((ncols - base) * width, "little")
+        out[base:] = [
+            int.from_bytes(data[i : i + width], "little") * scale % p
+            for i in range(0, len(data), width)
+        ]
+        return out, list(compress(range(ncols), out))
+    w = 8 * width
+    mask = (1 << w) - 1
+    nonzero = []
+    while y:
+        s = y & mask
+        if not s:
+            skip = ((y & -y).bit_length() - 1) // w
+            y >>= skip * w
+            base += skip
+            s = y & mask
+        if x := s * scale % p:
+            out[base] = x
+            nonzero.append(base)
+        y >>= w
+        base += 1
+    return out, nonzero
+
+
 def _forward_mod(rows: list[Sequence[int]], ncols: int, p: int) -> list[int]:
-    """In-place forward elimination mod p with unit pivots; returns the
-    pivot columns.  Only the outer list is modified, as in _forward_int."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    """In-place forward elimination mod p; returns the pivot columns in
+    increasing order and leaves rows[:rank] the matching unit-pivot residue
+    rows, zero before each pivot; the rows past them are removed.
+
+    Each row is packed into one int y, a slot per column, kept shifted down
+    to its lead slot v, and reduced against the pivots found so far, keyed
+    by lead column.  An update is one shift and multiply-add in C,
+    y = (y >> w) + (p − v)·tail, tail being the pivot's normalised slots
+    past its lead; a lead ≡ 0 mod p is only shifted out.  A lead with no
+    pivot is unpacked once, normalised and kept as a new pivot.  No carry: a
+    slot starts below p and gains at most (p − 1)² per update, once per
+    pivot, so with u = min(nrows, ncols) it stays at most
+    (p − 1) + u(p − 1)² < 2^(2·bitlen(p) + bitlen(u)); that many bits,
+    rounded up to whole bytes, is the slot width.  The row's own nonzeros
+    plus those of the tails added bound its nonzero slots, which picks the
+    sparse or dense unpack.
+    """
+    width = (2 * p.bit_length() + min(len(rows), ncols).bit_length() + 7) // 8
+    w = 8 * width
+    mask = (1 << w) - 1
+    # lead column -> (packed tail, nonzeros in it, normalised row)
+    pivots: dict[int, tuple[int, int, list[int]]] = {}
+    columns = list(range(ncols))  # compress walks a list faster than a range
+    for row in rows:
+        if len(pivots) == ncols:  # the remaining rows all reduce to zero
             break
-        best = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                best = i
-                break
-        if best < 0:
+        nonzero = list(compress(columns, row))
+        if not nonzero:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv_row = rows[r]
-        if piv_row[c] != 1:
-            inv = pow(piv_row[c], p - 2, p)
-            piv_row = [0] * c + [(v * inv) % p for v in piv_row[c:]]
-            rows[r] = piv_row
-        piv_tail = piv_row[c:]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if not v:
-                continue
-            tail = rows[i][c:]
-            rows[i] = [0] * c + [(a - v * b) % p for a, b in zip(tail, piv_tail)]
-        pivots.append(c)
-        r += 1
-    return pivots
+        base = nonzero[0]
+        y = _pack(row, base, nonzero, width)
+        bound = len(nonzero)
+        while y:
+            s = y & mask
+            if not s:
+                skip = ((y & -y).bit_length() - 1) // w
+                y >>= skip * w
+                base += skip
+                s = y & mask
+            v = s % p
+            if v:
+                entry = pivots.get(base)
+                if entry is None:
+                    break
+                y = (y >> w) + (p - v) * entry[0]
+                bound += entry[1]
+            else:
+                y >>= w
+            base += 1
+        else:
+            continue
+        sparse = 32 * bound < ncols - base
+        out, nonzero = _unpack(y, base, ncols, width, pow(v, -1, p), p, sparse)
+        pivots[base] = (_pack(out, base + 1, nonzero[1:], width), len(nonzero) - 1, out)
+    leads = sorted(pivots)
+    rows[:] = [pivots[c][2] for c in leads]
+    return leads
 
 
 def _back(rows: list[Sequence[int]], pivots: Sequence[int], p: int) -> list[Sequence[int]]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-# slice_dim is unused here but stays importable: perfbench/spans.py wraps it
-# by module attribute
+# slice_dim and rank are unused here but stay importable: perfbench/spans.py
+# wraps both by module attribute
 from .graded import multiplication_matrix, per_form, slice_dim, space_dim
-from .linalg import ExactMatrix, rank
+from .linalg import Echelon, ExactMatrix, rank
 from .milnor import milnor_dim, smooth_series_coeff, top_degree
 from .poly import HomogPoly, partial_derivatives
 
@@ -44,7 +44,7 @@ def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     """Spanning set of the degree-m Koszul relations b·(f_j e_i − f_i e_j),
     b running over monomials of degree m − (d−1), in block coordinates:
     coefficient vector of a_0 in the degree-m monomial basis, then a_1, and
-    so on."""
+    so on.  Entries are in working form: ints over Q, residues mod p."""
     d = f.degree
     nvars = f.nvars
     if m < d - 1:
@@ -57,13 +57,14 @@ def koszul_relation_vectors(f: HomogPoly, m: int, field=QQ) -> list[list]:
     nb = space_dim(nvars, m - (d - 1))
     blocks = [rows[k * nb : (k + 1) * nb] for k in range(nvars)]
     sdim = space_dim(nvars, m)
+    q = field.characteristic
     vectors = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
             for fj_b, fi_b in zip(blocks[j], blocks[i]):
                 v = [field.zero] * (nvars * sdim)
                 v[i * sdim : (i + 1) * sdim] = fj_b
-                v[j * sdim : (j + 1) * sdim] = [field.convert(-c) for c in fi_b]
+                v[j * sdim : (j + 1) * sdim] = [-c % q for c in fi_b] if q else [-c for c in fi_b]
                 vectors.append(v)
     return vectors
 
@@ -75,7 +76,8 @@ def kr_dim(f: HomogPoly, m: int, field=QQ) -> int:
     vectors = koszul_relation_vectors(f, m, field)
     if not vectors:
         return 0
-    return rank(ExactMatrix.from_rows(vectors), field)
+    # the vectors are in working form: no conversion pass on the way in
+    return Echelon(ExactMatrix(len(vectors), len(vectors[0]), vectors), field).rank
 
 
 def er_dim(f: HomogPoly, m: int, field=QQ) -> int:

@@ -5,7 +5,9 @@
 the package's elimination code so the two can be checked against each other.
 `koszul_relation_vectors_reference` places each Koszul relation's monomials
 by hand, independently of `graded.multiplication_matrix`, which the package's
-own builder reuses.
+own builder reuses.  `forward_mod_reference` is the column-by-column list
+elimination mod p that the packed-row kernel `linalg._forward_mod` replaced,
+kept as its oracle.
 """
 
 from __future__ import annotations
@@ -98,3 +100,38 @@ def koszul_relation_vectors_reference(f: HomogPoly, m: int, field) -> list[list]
                     v[j * sdim + index[tuple(a + x for a, x in zip(b, e))]] = field.convert(-c)
                 vectors.append(v)
     return vectors
+
+
+def forward_mod_reference(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """In-place forward elimination mod p on residue lists, one column at a
+    time, with unit pivots; returns the pivot columns.  rows[:rank] are the
+    pivot rows, zero before each pivot, and the rows below end up zero."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        best = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                best = i
+                break
+        if best < 0:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv_row = rows[r]
+        if piv_row[c] != 1:
+            inv = pow(piv_row[c], p - 2, p)
+            piv_row = [0] * c + [(v * inv) % p for v in piv_row[c:]]
+            rows[r] = piv_row
+        piv_tail = piv_row[c:]
+        for i in range(r + 1, nrows):
+            v = rows[i][c]
+            if not v:
+                continue
+            tail = rows[i][c:]
+            rows[i] = [0] * c + [(a - v * b) % p for a, b in zip(tail, piv_tail)]
+        pivots.append(c)
+        r += 1
+    return pivots

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from jacsyz import linalg
 from jacsyz.fields import QQ, PrimeField
 from jacsyz.linalg import (
     AmbientMismatchError,
+    Echelon,
     ExactMatrix,
     Subspace,
     kernel,
@@ -15,7 +17,7 @@ from jacsyz.linalg import (
     rref,
 )
 
-from helpers import naive_rref, random_matrix
+from helpers import forward_mod_reference, naive_rref, random_matrix
 
 PRIMES = (10007, 65537, 1000003)
 
@@ -251,3 +253,81 @@ class TestSubspace:
         assert Subspace.from_vectors([v], 2, field) == s
         assert s.contains(v)
         assert s.reduce(v) == [0, 0]
+
+
+# 2^89 − 1 is prime and above 64 bits
+PACKED_PRIMES = (2, 3, 5, 32003, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+def _packed_cases(rng: random.Random, p: int):
+    """Residue matrices (rows, ncols) for the packed-row kernel: seeded
+    dense and sparse ones, empty shapes, zero and duplicate rows, rows that
+    are sums of others, a single wide one-entry row, and a worst case for
+    slot growth."""
+    yield [], 0
+    yield [], 5
+    yield [[], [], []], 0
+    yield [[0] * 4] * 3, 4
+    row = [0] * 2000
+    row[rng.randrange(2000)] = rng.randrange(1, p)
+    yield [row], 2000
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        density = rng.choice((0.1, 0.3, 1.0))
+        rows = [
+            [rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if nrows >= 2:
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows.append([(a * x + b * y) % p for x, y in zip(rows[0], rows[1])])
+            rows.insert(rng.randrange(len(rows)), list(rows[-1]))  # a duplicate
+            rows.insert(rng.randrange(len(rows)), [0] * ncols)
+        yield rows, ncols
+    # wide and very sparse, like the Koszul matrices: two entries a row
+    ncols = 300
+    rows = []
+    for _ in range(120):
+        row = [0] * ncols
+        for c in rng.sample(range(ncols), 2):
+            row[c] = rng.randrange(1, p)
+        rows.append(row)
+    yield rows, ncols
+    # every update adds (p − 1)² to the last slot: pivots e_k + (p − 1)e_5,
+    # then (1, …, 1, p − 1), which takes five updates; for p = 2^31 − 1 that
+    # slot needs 65 bits, one past a byte boundary
+    n = 6
+    rows = [[int(j == k) for j in range(n - 1)] + [p - 1] for k in range(n - 1)]
+    rows.append([1] * (n - 1) + [p - 1])
+    yield rows, n
+    yield [row + [0] for row in rows], n + 1
+
+
+class TestPackedForwardMod:
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    def test_matches_list_reference(self, p, monkeypatch):
+        field = PrimeField(p)
+        rng = random.Random(p % 1000 + 19)
+        for rows, ncols in _packed_cases(rng, p):
+            m = ExactMatrix(len(rows), ncols, rows)
+            snapshot = [list(row) for row in rows]
+            packed = Echelon(m, field)
+            space = packed.row_space()
+            assert m.rows == snapshot  # the input is left as it was
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_forward_mod", forward_mod_reference)
+                reference = Echelon(m, field)
+                assert packed.pivots == reference.pivots
+                assert space == reference.row_space()
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    def test_forward_rows_are_unit_pivot_residue_rows(self, p):
+        rng = random.Random(p % 1000 + 20)
+        for rows, ncols in _packed_cases(rng, p):
+            work = list(rows)
+            pivots = linalg._forward_mod(work, ncols, p)
+            assert pivots == sorted(set(pivots))
+            for row, c in zip(work, pivots):
+                assert len(row) == ncols
+                assert all(0 <= v < p for v in row)
+                assert not any(row[:c]) and row[c] == 1

@@ -174,12 +174,11 @@ class TestDerivatives:
         for name, f in corpus_polys.items():
             assert euler_mismatches(f) == 0, name
 
-    def test_euler_identity_fails_off_grading(self):
-        # euler_mismatches multiplies by the declared degree, so feeding a poly
-        # whose terms were built by hand with the wrong degree must fail.
-        f = HomogPoly(2, 2, {(2, 0): Fraction(1)})
-        g = HomogPoly(2, 2, {(1, 1): Fraction(1)})
-        assert euler_mismatches(f + g) == 0
+    def test_wrong_degree_term_is_rejected(self):
+        # a term off the declared grading cannot be built, so euler_mismatches
+        # never sees a wrongly graded polynomial
+        with pytest.raises(ValueError):
+            HomogPoly(2, 2, {(1, 0): 1})
 
     def test_euler_mismatches_counts_coefficients(self):
         # f = x^2 + 2xy with wrong cached partials (2x, 2y): x*2x + y*2y
