@@ -56,7 +56,6 @@ from .saturation import (
 from .syzygy import (
     SyzygyProfile,
     ar_dim,
-    er_dim,
     koszul_cohomology_dim,
     kr_dim,
     syzygy_profile,

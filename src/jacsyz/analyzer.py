@@ -392,8 +392,6 @@ def ci_analysis(
     relations_ok = True
     if ci_degrees is not None:
         degrees = tuple(sorted(int(a) for a in ci_degrees))
-        if len(degrees) != n or any(a < 1 for a in degrees):
-            raise ValueError(f"need {n} positive candidate degrees")
         relations_ok = sum(degrees) == sum_target and prod(degrees) == product_target
     elif n == 2:
         disc = sum_target * sum_target - 4 * product_target
@@ -454,6 +452,11 @@ def analyze(
     if len(names) != f.nvars:
         raise ValueError("need one variable name per variable")
     text = source_text if source_text is not None else f.text(names)
+    # n is known from f, so bad CI degrees fail before any stage runs
+    if ci_degrees is not None and (
+        len(ci_degrees) != f.nvars - 1 or any(a < 1 for a in ci_degrees)
+    ):
+        raise ValueError(f"need {f.nvars - 1} positive candidate degrees")
 
     mp = milnor_profile(f, k_max, field)
     warnings: list[str] = []
@@ -492,7 +495,7 @@ def analyze(
             warnings=tuple(warnings),
         )
 
-    sp = syzygy_profile(f, None, field)
+    sp = syzygy_profile(f, field)
     satp = saturation_profile(f, k_max, field)
     if mp.smooth_input:
         warnings.append(

@@ -26,8 +26,8 @@ __all__ = [
 # that fits in 64 bits, far beyond the primes used here.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Fast-mode primes are drawn from [2**30, 2**31) so residue products stay
-# within a machine word on the way into Python's small-int range.
+# `mod:random` draws its prime from [2**30, 2**31): 31-bit primes, so
+# an unlucky one that drops a rank is rare.
 FAST_PRIME_LO = 2**30
 FAST_PRIME_HI = 2**31
 

@@ -118,24 +118,24 @@ def multiplication_matrix(gens: Sequence[HomogPoly], degree: int, field=QQ) -> E
 def form_table(gens: tuple[HomogPoly, ...], field) -> dict:
     """The cache of everything derived from the ideal of `gens` over
     `field`: its slices, keyed by degree, and the per_form results of the
-    higher layers, keyed by (function name, argument)."""
+    higher layers, keyed by (function name, arguments before the field)."""
     return {}
 
 
 def per_form(fn):
-    """Decorator: fn(f, arg, field) is computed once per table of f's
+    """Decorator: fn(f, *args, field) is computed once per table of f's
     partials over field, and kept as long as that table is.  The partials
     key f's table: over Q they determine f (d·f = Σ x_i·∂f/∂x_i), and they
     are the generators its slices are built from."""
 
     @wraps(fn)
-    def memo(f: HomogPoly, arg, field):
+    def memo(f: HomogPoly, *args):
         if f.degree < 1:  # no partials to key on; fn rejects such forms
-            return fn(f, arg, field)
-        table = form_table(partial_derivatives(f), field)
-        key = (fn.__name__, arg)
+            return fn(f, *args)
+        table = form_table(partial_derivatives(f), args[-1])
+        key = (fn.__name__, *args[:-1])
         if key not in table:
-            table[key] = fn(f, arg, field)
+            table[key] = fn(f, *args)
         return table[key]
 
     return memo

@@ -5,7 +5,9 @@ A degree-m relation is a tuple (a_0, …, a_n) of degree-m forms with
 Σ a_i·f_i = 0; Koszul relations are the span of b·(f_j e_i − f_i e_j).  The
 essential dimension er = ar − kr admits an independent second route through
 Milnor dimensions (koszul_cohomology_dim), and the agreement of the two is
-one of the package's central self-checks.
+one of the package's central self-checks.  The profile tabulates ar, kr and
+er over the relation degrees 0..n(d−2)+2, which on isolated input is enough
+to read off the minimal essential degree mdr (see SyzygyProfile).
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from .fields import QQ
 # wraps both by module attribute
 from .graded import multiplication_matrix, per_form, slice_dim, space_dim
 from .linalg import Echelon, ExactMatrix, rank
-from .milnor import milnor_dim, smooth_series_coeff, top_degree
+from .milnor import milnor_dim, smooth_series_coeff
 from .poly import HomogPoly, partial_derivatives
 
 __all__ = [
     "ar_dim",
     "kr_dim",
     "koszul_relation_vectors",
-    "er_dim",
     "koszul_cohomology_dim",
     "SyzygyProfile",
     "syzygy_profile",
@@ -80,17 +81,11 @@ def kr_dim(f: HomogPoly, m: int, field=QQ) -> int:
     return Echelon(ExactMatrix(len(vectors), len(vectors[0]), vectors), field).rank
 
 
-def er_dim(f: HomogPoly, m: int, field=QQ) -> int:
-    """Essential relations in degree m: ar_dim − kr_dim."""
-    if m < 0:
-        return 0
-    return ar_dim(f, m, field) - kr_dim(f, m, field)
-
-
 def koszul_cohomology_dim(f: HomogPoly, j: int, field=QQ) -> int:
     """Degree-j dimension of the next-to-top cohomology of the Koszul complex
     of the partials, computed as a difference of Milnor dimensions.  Under
-    the index shift j = m + n this is an independent oracle for er_dim."""
+    the index shift j = m + n this is an independent oracle for
+    er = ar_dim − kr_dim."""
     n = f.nvars - 1
     k = j + f.degree - n - 1
     if k < 0:
@@ -100,8 +95,17 @@ def koszul_cohomology_dim(f: HomogPoly, j: int, field=QQ) -> int:
 
 @dataclass(frozen=True)
 class SyzygyProfile:
-    """ar/kr/er dimensions for relation degrees 0..m_max plus the minimal
-    essential degree."""
+    """ar/kr/er dimensions for relation degrees 0..m_max = n(d−2)+2, and mdr,
+    the least m ≤ m_max with er_m > 0 (None when there is none).
+
+    On isolated input mdr is the least degree of any essential relation.
+    er_m = dim M(f)_{m+d−1} − dim M(f_s)_{m+d−1} (koszul_cohomology_dim; the
+    report's `er_matches_milnor_difference` row), and for m ≥ n(d−2) the
+    degree m+d−1 ≥ T+1 lies past the smooth series, which ends at T, and past
+    st ≤ T+1 (the `st_upper_bound` row), so er_m = τ there.  Either τ > 0 and
+    er_{n(d−2)} > 0 inside the table, or τ = 0 and er vanishes past it.  On
+    input that is not isolated, mdr is only the least such m within the table.
+    """
 
     m_max: int
     ar_dims: tuple[int, ...]
@@ -111,32 +115,21 @@ class SyzygyProfile:
 
 
 @per_form
-def _syzygy_profile(f: HomogPoly, m_max: int | None, field) -> SyzygyProfile:
+def _syzygy_profile(f: HomogPoly, field) -> SyzygyProfile:
     if f.degree < 2:
         raise ValueError("hypersurface degree must be at least 2")
-    n = f.nvars - 1
-    if m_max is None:
-        # covers the er = τ tail (which starts at n(d−2)) with margin
-        m_max = max(n * (f.degree - 2), 0) + 2
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    m_max = (f.nvars - 1) * (f.degree - 2) + 2
     ar = tuple(ar_dim(f, m, field) for m in range(m_max + 1))
     kr = tuple(kr_dim(f, m, field) for m in range(m_max + 1))
     er = tuple(a - k for a, k in zip(ar, kr))
-    mdr = None
-    # mdr looks up to top_degree, which can lie past m_max
-    for m in range(max(top_degree(f.nvars, f.degree), 0) + 1):
-        if (er[m] if m <= m_max else er_dim(f, m, field)) > 0:
-            mdr = m
-            break
     return SyzygyProfile(
         m_max=m_max,
         ar_dims=ar,
         kr_dims=kr,
         er_dims=er,
-        mdr=mdr,
+        mdr=next((m for m, e in enumerate(er) if e > 0), None),
     )
 
 
-def syzygy_profile(f: HomogPoly, m_max: int | None = None, field=QQ) -> SyzygyProfile:
-    return _syzygy_profile(f, m_max, field)
+def syzygy_profile(f: HomogPoly, field=QQ) -> SyzygyProfile:
+    return _syzygy_profile(f, field)

@@ -19,7 +19,7 @@ from jacsyz.milnor import (
 )
 from jacsyz.poly import euler_mismatches, parse_poly
 from jacsyz.saturation import saturation_profile
-from jacsyz.syzygy import er_dim, koszul_cohomology_dim, syzygy_profile
+from jacsyz.syzygy import ar_dim, koszul_cohomology_dim, kr_dim, syzygy_profile
 
 from helpers import random_dense_homogeneous
 
@@ -203,7 +203,7 @@ def test_criterion_8_random_dense_forms():
                 if mp.dims != mp.smooth_dims:
                     bad.append(f"{tag}: dims differ from smooth closed form")
                 for m in range(2 * (d - 2) + 3):
-                    if er_dim(f, m) != 0:
+                    if ar_dim(f, m) != kr_dim(f, m):
                         bad.append(f"{tag}: essential relation at m={m}")
                         break
     _finish(8, "50 random dense forms: euler, no essential relations, smooth dims", bad)

@@ -206,6 +206,13 @@ class TestOutputs:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize("poly", ["x^4+y^4+z^4", "x^2*y^2", "x^2*y^2+z^4"])
+    def test_nonpositive_ci_degrees_are_usage_on_any_input(self, capsys, poly):
+        # smooth, non-isolated and singular isolated input alike: n is known
+        # from the polynomial, so the degrees are refused before any stage
+        assert run("analyze", "--poly", poly, "--ci-degrees", "0,0") == EXIT_USAGE
+        assert capsys.readouterr().err == "jacsyz: error: need 2 positive candidate degrees\n"
+
     def test_modular_field_runs(self, capsys):
         assert (
             run("analyze", "--poly", THREE_CUSP, "--field", "mod:1000003")

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import jacsyz.graded as graded_module
+import jacsyz.syzygy as syzygy_module
 from helpers import koszul_relation_vectors_reference, random_dense_homogeneous
 from jacsyz.fields import QQ, CoefficientNotInFieldError, PrimeField, field_from_name
 from jacsyz.graded import multiplication_matrix
@@ -13,7 +15,6 @@ from jacsyz.milnor import milnor_profile, top_degree
 from jacsyz.poly import parse_poly, partial_derivatives
 from jacsyz.syzygy import (
     ar_dim,
-    er_dim,
     koszul_cohomology_dim,
     koszul_relation_vectors,
     kr_dim,
@@ -37,7 +38,7 @@ class TestCoordinateTriangle:
         f = coordinate_triangle
         assert [ar_dim(f, m) for m in range(5)] == [0, 2, 6, 12, 20]
         assert [kr_dim(f, m) for m in range(5)] == [0, 0, 3, 9, 17]
-        assert [er_dim(f, m) for m in range(5)] == [0, 2, 3, 3, 3]
+        assert [ar_dim(f, m) - kr_dim(f, m) for m in range(5)] == [0, 2, 3, 3, 3]
 
     def test_degree_one_relation_by_hand(self, coordinate_triangle):
         # (x, -y, 0) pairs with the partials (y*z, x*z, x*y):
@@ -61,7 +62,7 @@ class TestThreeCusp:
         f = three_cusp
         assert [ar_dim(f, m) for m in range(7)] == [0, 0, 3, 8, 15, 24, 35]
         assert [kr_dim(f, m) for m in range(7)] == [0, 0, 0, 3, 9, 18, 29]
-        assert [er_dim(f, m) for m in range(7)] == [0, 0, 3, 5, 6, 6, 6]
+        assert [ar_dim(f, m) - kr_dim(f, m) for m in range(7)] == [0, 0, 3, 5, 6, 6, 6]
 
     def test_mdr(self, three_cusp):
         assert syzygy_profile(three_cusp).mdr == 2
@@ -123,7 +124,7 @@ class TestKoszulInsideAll:
 class TestEssential:
     def test_smooth_input_has_no_essential_relations(self, fermat_quartic):
         for m in range(8):
-            assert er_dim(fermat_quartic, m) == 0
+            assert ar_dim(fermat_quartic, m) - kr_dim(fermat_quartic, m) == 0
 
     def test_er_matches_quotient_difference(self, corpus_polys):
         # second route: dim M(f) minus the smooth reference in the shifted
@@ -131,7 +132,8 @@ class TestEssential:
         for name, f in corpus_polys.items():
             n = f.nvars - 1
             for m in range(n * (f.degree - 2) + 3):
-                assert er_dim(f, m) == koszul_cohomology_dim(f, m + n), (name, m)
+                er = ar_dim(f, m) - kr_dim(f, m)
+                assert er == koszul_cohomology_dim(f, m + n), (name, m)
 
     def test_er_tail_equals_tjurina(self, corpus_polys):
         for name, f in corpus_polys.items():
@@ -140,7 +142,7 @@ class TestEssential:
                 continue
             start = p.n * (f.degree - 2)
             for m in range(start, start + 3):
-                assert er_dim(f, m) == p.tau, (name, m)
+                assert ar_dim(f, m) - kr_dim(f, m) == p.tau, (name, m)
 
     def test_er_profile_tables(self, corpus_polys):
         expected = {
@@ -198,3 +200,53 @@ class TestProfile:
                 continue
             mdr = syzygy_profile(f).mdr
             assert p.ct == mdr + f.degree - 2, name
+
+
+FERMAT_QUINTIC = "x^5 + y^5 + z^5"
+SIX_LINES = "x*y*z*(x - 2*y - 3*z)*(x - y - z)*(x + 3*y + 2*z)"
+XYZ = ("x", "y", "z")
+
+
+def _smooth_quintics():
+    # T = 9 lies past m_max = 8 here; for the Fermat quartic T = m_max, so it
+    # cannot tell a search past the table from none
+    return [parse_poly(FERMAT_QUINTIC, XYZ), random_dense_homogeneous(random.Random(20), 3, 5)]
+
+
+class TestRangeIsTheTable:
+    @pytest.mark.parametrize("mode", ["exact", "mod:2147483647"])
+    def test_no_koszul_rank_past_the_table(self, monkeypatch, mode):
+        field = field_from_name(mode)
+        degrees = []
+        real = syzygy_module.kr_dim
+        monkeypatch.setattr(
+            syzygy_module, "kr_dim", lambda g, m, fld=QQ: degrees.append(m) or real(g, m, fld)
+        )
+        for f in _smooth_quintics():
+            degrees.clear()
+            graded_module.form_table.cache_clear()
+            p = syzygy_profile(f, field=field)
+            assert p.m_max == 8 and p.mdr is None
+            assert sorted(degrees) == list(range(9))
+
+    def test_no_essential_relation_past_the_table_when_smooth(self):
+        # why mdr needs no degree past the table: on smooth input er also
+        # vanishes in every degree up to T
+        forms = _smooth_quintics() + [parse_poly("x^7 + y^7 + z^7", XYZ)]
+        for f in forms:
+            m_max = 2 * (f.degree - 2) + 2
+            assert milnor_profile(f).tau == 0
+            for m in range(m_max + 1, top_degree(3, f.degree) + 1):
+                assert ar_dim(f, m) == kr_dim(f, m), (f.degree, m)
+
+    def test_mdr_inside_the_er_tau_tail(self, corpus_polys):
+        forms = dict(corpus_polys)
+        forms["six-lines"] = parse_poly(SIX_LINES, XYZ)
+        checked = 0
+        for name, f in forms.items():
+            mp = milnor_profile(f)
+            if not mp.isolated or mp.tau == 0:
+                continue
+            assert syzygy_profile(f).mdr <= mp.n * (f.degree - 2), name
+            checked += 1
+        assert checked == 8
